@@ -16,11 +16,14 @@
 
    2. SoA vs boxed marginal evaluation — the planner's innermost loop
       (eval_marginal's shape: interest incidence vs flat capacity
-      residuals, min-with-cap accumulation) timed in its
-      structure-of-arrays form against a reimplementation through the
-      boxed per-(user, stream, measure) accessors it replaced. Both
-      walk ascending slot ids with identical float order, so the sums
-      are bit-equal — asserted.
+      residuals, min-with-cap accumulation, the tolerance test inlined
+      so no float is boxed) timed in its structure-of-arrays form
+      against a reimplementation through the boxed per-(user, stream,
+      measure) accessors and [Float_ops.leq] it replaced. Both walk
+      ascending slot ids with identical float order, so the sums are
+      bit-equal — asserted. Next to it, the shipped kernel itself: a
+      full epoch replan ({!Engine.Controller.replan}) on the same
+      world, with its marginal-evaluation count and minor allocation.
 
    3. Pool replan — {!Shard.Router.replan_all} (concurrent on the
       domain pool) vs the same router forced to one domain. On a
@@ -69,6 +72,16 @@ let world () =
 
 (* ----- SoA vs boxed marginal evaluation ----- *)
 
+(* [Float_ops.leq] at its default tolerance, inlined as the planner
+   does: the call through [Float_ops] boxes both operands. *)
+let[@inline] leq a b =
+  a <= b
+  || Float.is_finite a && Float.is_finite b
+     && a
+        <= b
+           +. (F.default_eps
+              *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)))
+
 (* One marginal-evaluation pass over every stream of the view, in the
    planner's hot-loop shape, against a synthetic half-used capacity
    row. Exposed so the microbenchmark can reuse the exact same kernels
@@ -93,7 +106,7 @@ let eval_soa v ~cap_used ~delivered_util =
       while !ok && !j < mc do
         if
           not
-            (F.leq
+            (leq
                (Array.unsafe_get cap_used (base + !j)
                +. Array.unsafe_get ld (li + !j))
                (Array.unsafe_get cap (base + !j)))
@@ -165,13 +178,16 @@ let eval_fixture v =
   done;
   (cap_used, delivered_util)
 
-(* The view the A/B runs over: the E14 world after its churn log, so
-   the incidence structure is the one the engine actually plans on. *)
-let soa_world () =
+(* The controller the A/B and the replan timing run over: the E14
+   world after its churn log, so the incidence structure is the one the
+   engine actually plans on. *)
+let churned () =
   let inst, log = world () in
   let ctrl = C.create ~policy:C.Manual inst in
   C.apply_all ctrl log;
-  C.view ctrl
+  ctrl
+
+let soa_world () = C.view (churned ())
 
 let run () =
   header "E20" "hot-path overhaul: batching, SoA eval, pool replan";
@@ -289,6 +305,25 @@ let run () =
     (1000. *. !soa_best /. float reps)
     (1000. *. !boxed_best /. float reps)
     soa_speedup;
+
+  (* ----- the shipped kernel: one epoch replan on the same world ----- *)
+  let ctrl = churned () in
+  let planner = C.planner ctrl in
+  let replan_reps = 20 in
+  let evals0 = Engine.Planner.evals planner in
+  Gc.major ();
+  let words0 = Gc.minor_words () in
+  let replan_walls =
+    Array.init replan_reps (fun _ -> snd (time_it (fun () -> C.replan ctrl)))
+  in
+  let replan_words = (Gc.minor_words () -. words0) /. float replan_reps in
+  let replan_evals = (Engine.Planner.evals planner - evals0) / replan_reps in
+  Array.sort compare replan_walls;
+  let replan_ms = 1000. *. replan_walls.(replan_reps / 2) in
+  Printf.printf
+    "kernel replan: %.3fms median, %d marginal evals, %.0f minor words \
+     per replan\n"
+    replan_ms replan_evals replan_words;
 
   (* ----- pool replan: sharded replan_all, 1 domain vs the pool ----- *)
   let shards = 4 in
@@ -418,11 +453,15 @@ let run () =
     \  \"batch_sweep\": [\n%s\n  ],\n\
     \  \"bit_identical\": %b,\n\
     \  \"soa_eval_speedup\": %.3f,\n\
+    \  \"kernel_replan_ms\": %.3f,\n\
+    \  \"kernel_replan_evals\": %d,\n\
+    \  \"kernel_replan_minor_words\": %.0f,\n\
     \  \"pool_replan_speedup\": %.3f,\n\
     \  \"replans\": %d,\n\
     \  \"replan_wall_fraction\": %.4f,\n\
     \  \"final_utility\": %.6f,\n\
-    \  \"certified_ratio\": %s\n\
+    \  \"certified_ratio\": %s,\n\
+    \  \"host\": %s\n\
      }\n"
     num_deltas (tput_of 1)
     (String.concat ",\n"
@@ -433,14 +472,16 @@ let run () =
                %.3f, \"bit_identical\": %b }"
               b t (t /. base_tput) id)
           sweep))
-    all_identical soa_speedup pool_speedup report.Engine.Counters.replans
+    all_identical soa_speedup replan_ms replan_evals replan_words pool_speedup
+    report.Engine.Counters.replans
     replan_fraction ref_utility
     (json_num ~precision:4
        (match
           Engine.Certify.sparse ~achieved:ref_utility (C.view ref_ctrl)
         with
        | Ok (o, _) -> o.Engine.Certify.ratio
-       | Error _ -> nan));
+       | Error _ -> nan))
+    (host_json ());
   close_out oc;
   Exp_common.check_json json_out;
   Printf.printf "wrote %s\n%!" json_out;

@@ -53,6 +53,13 @@ let median_time ?(runs = 3) f =
    downstream parsers. *)
 let json_num ?precision x = Obs.Json.num ?precision x
 
+(* The host a BENCH_*.json was measured on, as a JSON object. *)
+let host_json () =
+  Printf.sprintf "{ \"cores\": %d, \"ocaml\": \"%s\", \"domains\": %d }"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version
+    (Prelude.Pool.num_domains ())
+
 let check_json path =
   match Obs.Json.validate_file path with
   | Ok () -> ()

@@ -269,8 +269,12 @@ let report t =
   Counters.report t.counters ~evals:(Planner.evals t.planner)
     ~eager_equiv:(Planner.eager_equiv t.planner)
 
-let scratch ?(mode = Planner.Eager) ?(pinned = []) view =
+let scratch_planner ?(mode = Planner.Eager) ?(pinned = []) view =
   let planner = Planner.create view in
   Planner.set_pinned planner pinned;
   solve ~mode planner ~pinned;
+  planner
+
+let scratch ?mode ?pinned view =
+  let planner = scratch_planner ?mode ?pinned view in
   (Planner.utility planner, Planner.evals planner)

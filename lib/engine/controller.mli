@@ -138,3 +138,8 @@ val scratch : ?mode:Planner.mode -> ?pinned:int list -> View.t -> float * int
     current state with the same algorithm a replan runs (greedy +
     best-single fix), on a throwaway planner. The reference point for
     "how much would solving from scratch cost here". *)
+
+val scratch_planner :
+  ?mode:Planner.mode -> ?pinned:int list -> View.t -> Planner.t
+(** The throwaway planner behind {!scratch}, holding the from-scratch
+    plan — for checks that compare whole plans, not just utilities. *)

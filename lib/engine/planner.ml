@@ -3,23 +3,37 @@ module SI = Prelude.Sorted_ints
 
 type mode = Lazy | Eager
 
+(* A float stored flat: a record of floats only is unboxed, so writing
+   its field allocates nothing, where a mutable float field of [t]
+   would box a fresh float on every write. *)
+type cell = { mutable value : float }
+
 type t = {
   view : View.t;
   admitted : bool array;  (* stream *)
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
   bound : float array;  (* stream -> upper bound on marginal utility *)
+  cost_norm : float array;  (* stream; refilled for the candidates of every extend *)
+  cand : int array;
+      (* stream ids: the lazy greedy's heap, or the eager scan list *)
+  mutable cand_len : int;
+  violated : bool array;  (* m; scratch of [enforce_budgets] *)
+  loss : float array;  (* stream; eviction-loss cache of [enforce_budgets] *)
+  loss_ok : bool array;  (* stream; whether [loss] is current *)
   mutable delivered : SI.t array;
       (* per slot: the streams delivered to it, ascending. Sparse — a
          slot only ever receives streams it is interested in, so the
          set stays a handful of entries where a dense slot x stream
          matrix would cost num_streams bits per slot (10 GB at a
-         million slots and 10k streams). *)
+         million slots and 10k streams). Only admitted streams: the
+         kernel relies on it to skip the membership test for a stream
+         that is not transmitted. *)
   mutable delivered_util : float array;  (* slot; uncapped sum *)
   mutable capped : float array;  (* slot; min (W_u, delivered_util) *)
   mutable cap_used : float array;  (* flat slot-major: slot*mc + j *)
   mutable slots : int;  (* slot-indexed arrays are sized for this many *)
-  mutable total : float;
+  total : cell;
   mutable evals : int;
   mutable eager_equiv : int;
 }
@@ -31,12 +45,18 @@ let create view =
     pinned = Array.make ns false;
     used = Array.make (View.m view) 0.;
     bound = Array.make ns 0.;
+    cost_norm = Array.make ns 0.;
+    cand = Array.make ns 0;
+    cand_len = 0;
+    violated = Array.make (View.m view) false;
+    loss = Array.make ns 0.;
+    loss_ok = Array.make ns false;
     delivered = Array.init slots (fun _ -> SI.create ());
     delivered_util = Array.make slots 0.;
     capped = Array.make slots 0.;
     cap_used = Array.make (slots * View.mc view) 0.;
     slots;
-    total = 0.;
+    total = { value = 0. };
     evals = 0;
     eager_equiv = 0 }
 
@@ -86,7 +106,7 @@ let assignment t =
   Mmd.Assignment.of_sets
     (Array.init (View.num_slots t.view) (fun u -> delivered t u))
 
-let utility t = t.total
+let utility t = t.total.value
 let server_used t i = t.used.(i)
 let evals t = t.evals
 let eager_equiv t = t.eager_equiv
@@ -95,11 +115,51 @@ let add_evals t ~evals ~eager_equiv =
   t.evals <- t.evals + evals;
   t.eager_equiv <- t.eager_equiv + eager_equiv
 
+(* The kernel.
+
+   Everything below runs once per marginal evaluation, delivery or
+   eviction pick, and allocates nothing there. The library is built
+   without cross-module inlining, so a float passed to or returned
+   from a function of another module (or a non-inlined one of this
+   module) is boxed. Hence: the tolerance test is a local inlined copy
+   of [Float_ops.leq]; view data is read from the raw arrays, fetched
+   once per call, never through the per-element float accessors;
+   float-returning helpers are [@inline]; and the helpers that are not
+   take arrays and indices rather than floats. Plans are pinned bit for
+   bit (the plan-digest test), so every float operation and its order
+   is part of the contract. *)
+
+(* [Float_ops.leq] at [Float_ops.default_eps]: the same operations in
+   the same order, so every capacity and budget verdict is unchanged. *)
+let eps = F.default_eps
+
+let[@inline] leq a b =
+  a <= b
+  || Float.is_finite a && Float.is_finite b
+     && a <= b +. (eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)))
+
+(* Whether a load row [ld.(li) ..] fits on top of the used capacity
+   row [cu.(base) ..] under the capacity row [cap.(base) ..]. *)
+let[@inline] fits_row ~cu ~cap ~ld ~base ~li mc =
+  let ok = ref true in
+  let j = ref 0 in
+  while !ok && !j < mc do
+    if
+      not
+        (leq
+           (Array.unsafe_get cu (base + !j) +. Array.unsafe_get ld (li + !j))
+           (Array.unsafe_get cap (base + !j)))
+    then ok := false;
+    incr j
+  done;
+  !ok
+
 (* Residual capped utility of slot u: how much more objective the user
    can still contribute. *)
-let resid t u =
-  let cap = View.utility_cap t.view u in
-  if cap = infinity then infinity else Float.max 0. (cap -. t.delivered_util.(u))
+let[@inline] resid ~ucap ~du u =
+  let uc = Array.unsafe_get ucap u in
+  if uc = infinity then infinity
+  else Float.max 0. (uc -. Array.unsafe_get du u)
 
 let fits_cap t u s =
   let v = t.view in
@@ -107,43 +167,43 @@ let fits_cap t u s =
   let base = u * mc in
   let ok = ref true in
   for j = 0 to mc - 1 do
-    if
-      not (F.leq (t.cap_used.(base + j) +. View.load v u s j) (View.capacity v u j))
+    if not (leq (t.cap_used.(base + j) +. View.load v u s j) (View.capacity v u j))
     then ok := false
   done;
   !ok
 
 let fits_budget t s =
   let v = t.view in
+  let cost = View.cost_row v s and budget = View.budgets v in
   let ok = ref true in
   for i = 0 to View.m v - 1 do
-    if not (F.leq (t.used.(i) +. View.server_cost v s i) (View.budget v i)) then
-      ok := false
+    if not (leq (t.used.(i) +. cost.(i)) budget.(i)) then ok := false
   done;
   !ok
 
 (* Normalized server cost: the stream's largest fractional bite out of
-   any finite budget. In [0, 1] by the view's fit invariant. *)
-let cost_norm t s =
+   any finite budget. In [0, 1] by the view's fit invariant. The view
+   does not change during an extend, so it is computed once there. *)
+let set_cost_norm t s =
   let v = t.view in
+  let cost = View.cost_row v s and budget = View.budgets v in
   let worst = ref 0. in
   for i = 0 to View.m v - 1 do
-    let b = View.budget v i in
-    if b > 0. && b < infinity then
-      worst := Float.max !worst (View.server_cost v s i /. b)
+    let b = budget.(i) in
+    if b > 0. && b < infinity then worst := Float.max !worst (cost.(i) /. b)
   done;
-  !worst
+  t.cost_norm.(s) <- !worst
 
-(* Marginal capped utility of admitting s at the current plan state.
+(* Marginal capped utility of admitting s, which is not admitted, at
+   the current plan state.
 
    This is the engine's innermost loop: one linear walk over the
    stream's interest incidence (contiguous ids/w/loads arrays from the
-   view) against the planner's flat cap_used row — no per-(user,
-   stream, measure) binary search. The float operations and their
-   order are exactly those of the accessor-based loop it replaced
-   (ascending slot ids, min-with-residual accumulation), so marginals
-   are bit-identical. *)
-let eval_marginal t s =
+   view) against the planner's flat cap_used row, in ascending slot
+   order with min-with-residual accumulation. A slot holds only
+   admitted streams, so no slot holds s and there is no per-slot
+   membership test. *)
+let[@inline] eval_marginal t s =
   t.evals <- t.evals + 1;
   let v = t.view in
   let mc = View.mc v in
@@ -153,49 +213,37 @@ let eval_marginal t s =
   let ld = View.inc_loads v s in
   let cap = View.capacity_flat v in
   let ucap = View.utility_caps v in
-  let cu = t.cap_used in
+  let cu = t.cap_used and du = t.delivered_util in
   let acc = ref 0. in
   for i = 0 to n - 1 do
     let u = Array.unsafe_get ids i in
-    if not (SI.mem t.delivered.(u) s) then begin
-      let base = u * mc and li = i * mc in
-      let ok = ref true in
-      let j = ref 0 in
-      while !ok && !j < mc do
-        if
-          not
-            (F.leq
-               (Array.unsafe_get cu (base + !j)
-               +. Array.unsafe_get ld (li + !j))
-               (Array.unsafe_get cap (base + !j)))
-        then ok := false;
-        incr j
-      done;
-      if !ok then begin
-        let uc = Array.unsafe_get ucap u in
-        let r =
-          if uc = infinity then infinity
-          else Float.max 0. (uc -. Array.unsafe_get t.delivered_util u)
-        in
-        if r > 0. then acc := !acc +. Float.min (Array.unsafe_get w i) r
-      end
+    if fits_row ~cu ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc then begin
+      let r = resid ~ucap ~du u in
+      if r > 0. then acc := !acc +. Float.min (Array.unsafe_get w i) r
     end
   done;
   !acc
 
-(* Deliver s to slot u unconditionally (bookkeeping only), given the
-   utility [w] and the load row [ld.(li) .. ld.(li+mc-1)]. *)
-let deliver_flat t u s ~w ~ld ~li =
-  let mc = View.mc t.view in
+(* Fold a new delivered utility into slot u's capped share of the
+   objective. *)
+let[@inline] recap t ~ucap u =
+  let capped' = Float.min (Array.unsafe_get ucap u) t.delivered_util.(u) in
+  t.total.value <- t.total.value +. (capped' -. t.capped.(u));
+  t.capped.(u) <- capped'
+
+(* Deliver s to slot u unconditionally (bookkeeping only): utility
+   [w.(i)], load row [ld.(i*mc) .. ld.(i*mc+mc-1)] — the stream's
+   incidence arrays at u's position. *)
+let deliver_at t u s ~w ~ld i =
+  let v = t.view in
+  let mc = View.mc v in
   ignore (SI.add t.delivered.(u) s);
-  let base = u * mc in
+  let base = u * mc and li = i * mc in
   for j = 0 to mc - 1 do
     t.cap_used.(base + j) <- t.cap_used.(base + j) +. ld.(li + j)
   done;
-  t.delivered_util.(u) <- t.delivered_util.(u) +. w;
-  let capped' = Float.min (View.utility_cap t.view u) t.delivered_util.(u) in
-  t.total <- t.total +. (capped' -. t.capped.(u));
-  t.capped.(u) <- capped'
+  t.delivered_util.(u) <- t.delivered_util.(u) +. w.(i);
+  recap t ~ucap:(View.utility_caps v) u
 
 (* Accessor-path variant for cold call sites (join catch-up, forced
    restores) where the incidence index is not at hand. *)
@@ -208,45 +256,44 @@ let deliver_raw t u s =
     t.cap_used.(base + j) <- t.cap_used.(base + j) +. View.load v u s j
   done;
   t.delivered_util.(u) <- t.delivered_util.(u) +. View.utility v u s;
-  let capped' = Float.min (View.utility_cap v u) t.delivered_util.(u) in
-  t.total <- t.total +. (capped' -. t.capped.(u));
-  t.capped.(u) <- capped'
+  recap t ~ucap:(View.utility_caps v) u
+
+(* Admit s, which is not admitted and fits the residual budgets, and
+   deliver it wherever capacity and residual utility allow. No slot
+   holds s yet, so there is no membership test. *)
+let admit_fitting t s =
+  let v = t.view in
+  t.admitted.(s) <- true;
+  let cost = View.cost_row v s in
+  for i = 0 to View.m v - 1 do
+    t.used.(i) <- t.used.(i) +. cost.(i)
+  done;
+  t.bound.(s) <- 0.;
+  let mc = View.mc v in
+  let n = View.inc_len v s in
+  let ids = View.inc_ids v s in
+  let w = View.inc_w v s in
+  let ld = View.inc_loads v s in
+  let cap = View.capacity_flat v in
+  let ucap = View.utility_caps v in
+  for i = 0 to n - 1 do
+    let u = ids.(i) in
+    if
+      fits_row ~cu:t.cap_used ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc
+      && resid ~ucap ~du:t.delivered_util u > 0.
+    then deliver_at t u s ~w ~ld i
+  done
 
 let admit t s =
   if t.admitted.(s) || not (fits_budget t s) then false
   else begin
-    let v = t.view in
-    t.admitted.(s) <- true;
-    for i = 0 to View.m v - 1 do
-      t.used.(i) <- t.used.(i) +. View.server_cost v s i
-    done;
-    t.bound.(s) <- 0.;
-    let mc = View.mc v in
-    let n = View.inc_len v s in
-    let ids = View.inc_ids v s in
-    let w = View.inc_w v s in
-    let ld = View.inc_loads v s in
-    let cap = View.capacity_flat v in
-    for i = 0 to n - 1 do
-      let u = ids.(i) in
-      if not (SI.mem t.delivered.(u) s) then begin
-        let base = u * mc and li = i * mc in
-        let ok = ref true in
-        let j = ref 0 in
-        while !ok && !j < mc do
-          if not (F.leq (t.cap_used.(base + !j) +. ld.(li + !j)) cap.(base + !j))
-          then ok := false;
-          incr j
-        done;
-        if !ok && resid t u > 0. then deliver_flat t u s ~w:w.(i) ~ld ~li
-      end
-    done;
+    admit_fitting t s;
     true
   end
 
 (* Static upper bound on any marginal of s: every interested user
    contributes at most min(w, W_u). *)
-let static_bound t s =
+let set_static_bound t s =
   let v = t.view in
   let n = View.inc_len v s in
   let ids = View.inc_ids v s in
@@ -256,7 +303,7 @@ let static_bound t s =
   for i = 0 to n - 1 do
     acc := !acc +. Float.min (Array.unsafe_get w i) ucap.(Array.unsafe_get ids i)
   done;
-  !acc
+  t.bound.(s) <- !acc
 
 let reset t =
   ensure_slots t;
@@ -269,72 +316,126 @@ let reset t =
   Array.fill t.cap_used 0 (t.slots * View.mc t.view) 0.;
   Array.fill t.delivered_util 0 t.slots 0.;
   Array.fill t.capped 0 t.slots 0.;
-  t.total <- 0.;
+  t.total.value <- 0.;
   (* Scratch-replan heap seeding: the per-stream static bounds are
      independent read-only sums over the view, so they fan out across
      the pool; each per-stream sum is computed whole by one worker,
      keeping the floats bit-identical to the sequential loop. *)
-  let bounds = Prelude.Pool.float_init ~chunk:64 ns (fun s -> static_bound t s) in
-  Array.blit bounds 0 t.bound 0 ns
+  Prelude.Pool.iter_chunks ~chunk:64 ns (fun lo hi ->
+      for s = lo to hi - 1 do
+        set_static_bound t s
+      done)
 
-(* Achievable stand-alone value of s: the capped utility delivered if
-   s alone were transmitted from an empty plan. Unlike [static_bound]
-   this respects the budgets (a stream that does not fit transmits
-   nothing) and each user's capacity from empty — it is exactly what
-   [reset; admit s] would deliver, which is what the §2.2 fallback
-   needs to compare against. *)
-let standalone t s =
+(* The §2.2 [A_max]: the stream whose achievable stand-alone value —
+   the capped utility [reset; admit s] would deliver — is largest.
+   Unlike the static bound this respects the budgets (a stream that
+   does not fit transmits nothing) and each user's capacity from
+   empty. Ties go to the lower stream id. *)
+let best_single t =
   let v = t.view in
-  let fits = ref true in
-  for i = 0 to View.m v - 1 do
-    if View.server_cost v s i > View.budget v i then fits := false
-  done;
-  if not !fits then 0.
+  let ns = View.num_streams v in
+  if ns = 0 then None
   else begin
     let mc = View.mc v in
-    let n = View.inc_len v s in
-    let ids = View.inc_ids v s in
-    let w = View.inc_w v s in
-    let ld = View.inc_loads v s in
+    let budget = View.budgets v in
     let cap = View.capacity_flat v in
     let ucap = View.utility_caps v in
-    let acc = ref 0. in
-    for i = 0 to n - 1 do
-      let u = ids.(i) in
-      let base = u * mc and li = i * mc in
-      let ok = ref true in
-      for j = 0 to mc - 1 do
-        if ld.(li + j) > cap.(base + j) then ok := false
+    let best = ref 0 and best_v = ref 0. in
+    for s = 0 to ns - 1 do
+      let cost = View.cost_row v s in
+      let fits = ref true in
+      for i = 0 to View.m v - 1 do
+        if cost.(i) > budget.(i) then fits := false
       done;
-      if !ok then acc := !acc +. Float.min w.(i) ucap.(u)
+      let acc = ref 0. in
+      if !fits then begin
+        let n = View.inc_len v s in
+        let ids = View.inc_ids v s in
+        let w = View.inc_w v s in
+        let ld = View.inc_loads v s in
+        for i = 0 to n - 1 do
+          let u = ids.(i) in
+          let base = u * mc and li = i * mc in
+          let ok = ref true in
+          for j = 0 to mc - 1 do
+            if ld.(li + j) > cap.(base + j) then ok := false
+          done;
+          if !ok then acc := !acc +. Float.min w.(i) ucap.(u)
+        done
+      end;
+      if s = 0 || not (!best_v >= !acc) then begin
+        best := s;
+        best_v := !acc
+      end
     done;
-    !acc
+    Some (!best, !best_v)
   end
-
-let best_single t =
-  let best = ref None in
-  for s = 0 to View.num_streams t.view - 1 do
-    let v = standalone t s in
-    match !best with
-    | Some (_, v') when v' >= v -> ()
-    | _ -> best := Some (s, v)
-  done;
-  !best
 
 (* Cost-effectiveness order without division: s (with marginal w, cost
    c) beats s' when w·c' > w'·c; zero-cost streams have infinite
-   effectiveness. Ties break to the lower stream id, so the lazy and
-   eager modes make identical picks. *)
-let better_than ~w ~c ~w' ~c' =
+   effectiveness. *)
+let[@inline] better_than w c w' c' =
   if c = 0. && c' = 0. then w > w'
   else if c = 0. then w > 0.
   else if c' = 0. then false
   else w *. c' > w' *. c
 
-let cmp_entry (w1, c1, s1) (w2, c2, s2) =
-  if better_than ~w:w1 ~c:c1 ~w':w2 ~c':c2 then -1
-  else if better_than ~w:w2 ~c:c2 ~w':w1 ~c':c1 then 1
-  else compare (s1 : int) s2
+(* The greedy's pick order on (marginal, cost_norm, stream) entries:
+   the more cost-effective first, ties to the lower stream id, so the
+   lazy and eager modes make identical picks. [better_than] is
+   antisymmetric, so this equals "better, else not worse and the lower
+   id". *)
+let[@inline] precedes w c s w' c' s' =
+  better_than w c w' c' || ((not (better_than w' c' w c)) && s < s')
+
+(* The lazy greedy's max-heap of candidates, held in [t.cand] as stream
+   ids keyed by [t.bound] and [t.cost_norm]. A key changes only for the
+   top entry, just before [sift_down t 0]. Float rounding can make
+   [precedes] less than transitive, and then the order in which entries
+   surface depends on the sift steps: these compare and swap exactly as
+   [Prelude.Heap] does, which the pinned plans depend on. *)
+let[@inline] heap_lt t a b =
+  let sa = t.cand.(a) and sb = t.cand.(b) in
+  precedes t.bound.(sa) t.cost_norm.(sa) sa t.bound.(sb) t.cost_norm.(sb) sb
+
+let heap_swap t i j =
+  let tmp = t.cand.(i) in
+  t.cand.(i) <- t.cand.(j);
+  t.cand.(j) <- tmp
+
+let sift_up t i =
+  let i = ref i in
+  while !i > 0 && heap_lt t !i ((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    heap_swap t !i parent;
+    i := parent
+  done
+
+let sift_down t i =
+  let i = ref i and continue_ = ref true in
+  while !continue_ do
+    let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+    let smallest = ref !i in
+    if left < t.cand_len && heap_lt t left !smallest then smallest := left;
+    if right < t.cand_len && heap_lt t right !smallest then smallest := right;
+    if !smallest <> !i then begin
+      heap_swap t !i !smallest;
+      i := !smallest
+    end
+    else continue_ := false
+  done
+
+let heap_push t s =
+  t.cand.(t.cand_len) <- s;
+  t.cand_len <- t.cand_len + 1;
+  sift_up t (t.cand_len - 1)
+
+let heap_pop t =
+  t.cand_len <- t.cand_len - 1;
+  if t.cand_len > 0 then begin
+    t.cand.(0) <- t.cand.(t.cand_len);
+    sift_down t 0
+  end
 
 (* Exported planner metrics. Heap pops and marginal evaluations are
    tallied locally inside the loops and flushed once per extend, so
@@ -345,60 +446,70 @@ let m_evals = lazy (Obs.Metrics.counter "planner_marginal_evals_total")
 let extend_lazy t =
   let evals0 = t.evals in
   let pops = ref 0 in
-  let heap = Prelude.Heap.create ~cmp:cmp_entry in
+  t.cand_len <- 0;
   for s = 0 to View.num_streams t.view - 1 do
-    if (not t.admitted.(s)) && t.bound.(s) > 0. then
-      Prelude.Heap.push heap (t.bound.(s), cost_norm t s, s)
+    if (not t.admitted.(s)) && t.bound.(s) > 0. then begin
+      set_cost_norm t s;
+      heap_push t s
+    end
   done;
   let fresh = ref (-1) in
   let continue_ = ref true in
-  while !continue_ do
-    match Prelude.Heap.peek heap with
-    | None -> continue_ := false
-    | Some (b, _, s) when !fresh = s ->
-        (* The top entry was evaluated at the current plan state and is
-           still the best candidate: confirm it. An eager greedy would
-           have re-evaluated every live candidate to reach the same
-           conclusion. *)
-        t.eager_equiv <- t.eager_equiv + Prelude.Heap.length heap;
-        ignore (Prelude.Heap.pop heap);
-        incr pops;
-        fresh := -1;
-        if b <= 0. then continue_ := false
-        else if fits_budget t s then ignore (admit t s)
-        (* else: drop s for this extend, exactly as eager does. *)
-    | Some (_, _, s) ->
-        let m = eval_marginal t s in
-        t.bound.(s) <- m;
-        Prelude.Heap.replace_top heap (m, cost_norm t s, s);
-        fresh := s
+  while !continue_ && t.cand_len > 0 do
+    let s = t.cand.(0) in
+    if s = !fresh then begin
+      (* The top entry was evaluated at the current plan state and is
+         still the best candidate: confirm it. An eager greedy would
+         have re-evaluated every live candidate to reach the same
+         conclusion. *)
+      t.eager_equiv <- t.eager_equiv + t.cand_len;
+      heap_pop t;
+      incr pops;
+      fresh := -1;
+      if t.bound.(s) <= 0. then continue_ := false
+      else if fits_budget t s then admit_fitting t s
+      (* else: drop s for this extend, exactly as eager does. *)
+    end
+    else begin
+      t.bound.(s) <- eval_marginal t s;
+      sift_down t 0;
+      fresh := s
+    end
   done;
   Obs.Metrics.inc ~n:!pops (Lazy.force m_heap_pops);
   Obs.Metrics.inc ~n:(t.evals - evals0) (Lazy.force m_evals)
 
 let extend_eager t =
   let evals0 = t.evals in
-  let candidates = ref [] in
-  for s = View.num_streams t.view - 1 downto 0 do
-    if not t.admitted.(s) then candidates := s :: !candidates
+  t.cand_len <- 0;
+  for s = 0 to View.num_streams t.view - 1 do
+    if not t.admitted.(s) then begin
+      set_cost_norm t s;
+      t.cand.(t.cand_len) <- s;
+      t.cand_len <- t.cand_len + 1
+    end
   done;
   let continue_ = ref true in
-  while !continue_ && !candidates <> [] do
-    t.eager_equiv <- t.eager_equiv + List.length !candidates;
-    let best = ref None in
-    List.iter
-      (fun s ->
-        let entry = (eval_marginal t s, cost_norm t s, s) in
-        match !best with
-        | Some e when cmp_entry e entry <= 0 -> ()
-        | _ -> best := Some entry)
-      !candidates;
-    match !best with
-    | None -> continue_ := false
-    | Some (m, _, _) when m <= 0. -> continue_ := false
-    | Some (_, _, s) ->
-        if fits_budget t s then ignore (admit t s);
-        candidates := List.filter (fun s' -> s' <> s) !candidates
+  while !continue_ && t.cand_len > 0 do
+    t.eager_equiv <- t.eager_equiv + t.cand_len;
+    let best = ref 0 and best_m = ref 0. in
+    for k = 0 to t.cand_len - 1 do
+      let s = t.cand.(k) in
+      let m = eval_marginal t s in
+      let b = t.cand.(!best) in
+      if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
+      then begin
+        best := k;
+        best_m := m
+      end
+    done;
+    if !best_m <= 0. then continue_ := false
+    else begin
+      let s = t.cand.(!best) in
+      if fits_budget t s then admit_fitting t s;
+      Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
+      t.cand_len <- t.cand_len - 1
+    end
   done;
   Obs.Metrics.inc ~n:(t.evals - evals0) (Lazy.force m_evals)
 
@@ -430,21 +541,16 @@ let note_join t u =
     |> List.sort (fun s1 s2 ->
            compare (View.utility t.view u s2) (View.utility t.view u s1))
   in
+  let ucap = View.utility_caps t.view in
   List.iter
     (fun s ->
-      if (not (SI.mem t.delivered.(u) s)) && fits_cap t u s && resid t u > 0.
+      if
+        (not (SI.mem t.delivered.(u) s))
+        && fits_cap t u s
+        && resid ~ucap ~du:t.delivered_util u > 0.
       then deliver_raw t u s)
     mine;
   raise_bounds_for t u
-
-let undeliver_raw t u s ~w =
-  ignore (SI.remove t.delivered.(u) s);
-  t.delivered_util.(u) <- Float.max 0. (t.delivered_util.(u) -. w);
-  let capped' =
-    Float.min (View.utility_cap t.view u) t.delivered_util.(u)
-  in
-  t.total <- t.total +. (capped' -. t.capped.(u));
-  t.capped.(u) <- capped'
 
 let note_leave t u =
   if u < t.slots then begin
@@ -452,13 +558,13 @@ let note_leave t u =
        wholesale rather than per stream. *)
     SI.clear t.delivered.(u);
     Array.fill t.cap_used (u * View.mc t.view) (View.mc t.view) 0.;
-    t.total <- t.total -. t.capped.(u);
+    t.total.value <- t.total.value -. t.capped.(u);
     t.delivered_util.(u) <- 0.;
     t.capped.(u) <- 0.
   end
 
-(* Capped utility lost if s were evicted. *)
-let eviction_loss t s =
+(* Capped utility lost if the admitted stream s were evicted. *)
+let[@inline] eviction_loss t s =
   let v = t.view in
   let n = View.inc_len v s in
   let ids = View.inc_ids v s in
@@ -481,86 +587,123 @@ let evict t s =
   let ids = View.inc_ids v s in
   let w = View.inc_w v s in
   let ld = View.inc_loads v s in
+  let ucap = View.utility_caps v in
   for i = 0 to n - 1 do
     let u = ids.(i) in
-    if SI.mem t.delivered.(u) s then begin
+    if SI.remove t.delivered.(u) s then begin
       let base = u * mc and li = i * mc in
       for j = 0 to mc - 1 do
         t.cap_used.(base + j) <-
           Float.max 0. (t.cap_used.(base + j) -. ld.(li + j))
       done;
-      undeliver_raw t u s ~w:w.(i);
+      t.delivered_util.(u) <- Float.max 0. (t.delivered_util.(u) -. w.(i));
+      recap t ~ucap u;
       raise_bounds_for t u
     end
   done;
   t.admitted.(s) <- false;
+  let cost = View.cost_row v s in
   for i = 0 to View.m v - 1 do
-    t.used.(i) <- Float.max 0. (t.used.(i) -. View.server_cost v s i)
+    t.used.(i) <- Float.max 0. (t.used.(i) -. cost.(i))
   done;
   (* The evicted stream is a candidate again, at its true marginal. *)
   t.bound.(s) <- eval_marginal t s
 
 let recompute_used t =
   let v = t.view in
-  Array.fill t.used 0 (View.m v) 0.;
-  Array.iteri
-    (fun s a ->
-      if a then
-        for i = 0 to View.m v - 1 do
-          t.used.(i) <- t.used.(i) +. View.server_cost v s i
-        done)
-    t.admitted
+  let m = View.m v in
+  Array.fill t.used 0 m 0.;
+  for s = 0 to Array.length t.admitted - 1 do
+    if t.admitted.(s) then begin
+      let cost = View.cost_row v s in
+      for i = 0 to m - 1 do
+        t.used.(i) <- t.used.(i) +. cost.(i)
+      done
+    end
+  done
+
+(* Mark the budgets the plan violates in [t.violated]; true if any. *)
+let mark_violated t =
+  let budget = View.budgets t.view in
+  let any = ref false in
+  for i = 0 to View.m t.view - 1 do
+    let bad = not (leq t.used.(i) budget.(i)) in
+    t.violated.(i) <- bad;
+    if bad then any := true
+  done;
+  !any
+
+(* Budget relief of evicting s: its cost summed over the violated
+   measures, in ascending measure order. *)
+let[@inline] relief t s =
+  let cost = View.cost_row t.view s in
+  let acc = ref 0. in
+  for i = 0 to View.m t.view - 1 do
+    if t.violated.(i) then acc := !acc +. cost.(i)
+  done;
+  !acc
+
+(* [eviction_loss] is a function of the stream's recipients' capped
+   utilities alone, and one eviction changes only those of its own
+   recipients: [enforce_budgets] keeps every loss it computed until an
+   eviction touches one of the stream's recipients. *)
+let invalidate_losses t s =
+  let v = t.view in
+  let n = View.inc_len v s in
+  let ids = View.inc_ids v s in
+  for i = 0 to n - 1 do
+    let held = t.delivered.(ids.(i)) in
+    if SI.mem held s then
+      for k = 0 to SI.length held - 1 do
+        t.loss_ok.(SI.get held k) <- false
+      done
+  done
+
+(* The admitted stream, pinned or not as asked, with the smallest loss
+   per unit of relief (ties to the lower id); -1 if none gives relief. *)
+let eviction_pick t ~pinned_pass =
+  let best = ref (-1) and best_l = ref 0. and best_r = ref 0. in
+  for s = 0 to Array.length t.admitted - 1 do
+    if t.admitted.(s) && t.pinned.(s) = pinned_pass then begin
+      let r = relief t s in
+      if r > 0. then begin
+        if not t.loss_ok.(s) then begin
+          t.loss.(s) <- eviction_loss t s;
+          t.loss_ok.(s) <- true
+        end;
+        let l = t.loss.(s) in
+        if
+          !best < 0
+          || l *. !best_r < !best_l *. r
+          || (l *. !best_r = !best_l *. r && s < !best)
+        then begin
+          best := s;
+          best_l := l;
+          best_r := r
+        end
+      end
+    end
+  done;
+  !best
 
 (* Evict least-valuable-per-unit-of-relief streams until every budget
    holds again. Pinned streams go last. *)
 let enforce_budgets t =
-  let v = t.view in
-  let violated () =
-    let acc = ref [] in
-    for i = View.m v - 1 downto 0 do
-      if not (F.leq t.used.(i) (View.budget v i)) then acc := i :: !acc
-    done;
-    !acc
-  in
+  Array.fill t.loss_ok 0 (Array.length t.loss_ok) false;
   let evictions = ref 0 in
   let continue_ = ref true in
-  while !continue_ do
-    match violated () with
-    | [] -> continue_ := false
-    | measures -> (
-        let relief s =
-          List.fold_left
-            (fun acc i -> acc +. View.server_cost v s i)
-            0. measures
-        in
-        let pick ~pinned_pass =
-          let best = ref None in
-          Array.iteri
-            (fun s a ->
-              if a && t.pinned.(s) = pinned_pass && relief s > 0. then begin
-                let entry = (eviction_loss t s, relief s, s) in
-                match !best with
-                | Some (l', r', s') ->
-                    (* Evict the smallest loss per unit relief. *)
-                    let l, r, _ = entry in
-                    if
-                      l *. r' < l' *. r
-                      || (l *. r' = l' *. r && s < s')
-                    then best := Some entry
-                | None -> best := Some entry
-              end)
-            t.admitted;
-          !best
-        in
-        match
-          (match pick ~pinned_pass:false with
-          | Some _ as found -> found
-          | None -> pick ~pinned_pass:true)
-        with
-        | Some (_, _, s) ->
-            evict t s;
-            incr evictions
-        | None -> continue_ := false)
+  while !continue_ && mark_violated t do
+    let s =
+      match eviction_pick t ~pinned_pass:false with
+      | -1 -> eviction_pick t ~pinned_pass:true
+      | s -> s
+    in
+    if s < 0 then continue_ := false
+    else begin
+      invalidate_losses t s;
+      evict t s;
+      incr evictions
+    end
   done;
   !evictions
 
@@ -581,8 +724,9 @@ let force ?(admitted = []) t plan =
     if not t.admitted.(s) then begin
       t.admitted.(s) <- true;
       t.bound.(s) <- 0.;
+      let cost = View.cost_row v s in
       for i = 0 to View.m v - 1 do
-        t.used.(i) <- t.used.(i) +. View.server_cost v s i
+        t.used.(i) <- t.used.(i) +. cost.(i)
       done
     end
   in
@@ -609,7 +753,7 @@ let force ?(admitted = []) t plan =
 let float_state t =
   let n = View.num_slots t.view in
   let mc = View.mc t.view in
-  ( t.total,
+  ( t.total.value,
     Array.sub t.used 0 (View.m t.view),
     Array.init n (fun u ->
         ( t.delivered_util.(u),
@@ -627,7 +771,7 @@ let set_float_state t ~total ~used ~slots =
       if Array.length cu <> View.mc t.view then
         invalid_arg "Planner.set_float_state: wrong capacity measure count")
     slots;
-  t.total <- total;
+  t.total.value <- total;
   Array.blit used 0 t.used 0 (Array.length used);
   let mc = View.mc t.view in
   Array.iteri

@@ -139,5 +139,11 @@ val set_float_state :
     [View.m], [slots] does not have [View.num_slots], or a slot's
     capacity row does not have [View.mc] entries. *)
 
+val leq : float -> float -> bool
+(** {!Prelude.Float_ops.leq} at its default tolerance: the copy the
+    kernel inlines into its capacity and budget tests, with the same
+    float operations in the same order. Exposed so tests can check that
+    the two agree. *)
+
 val add_evals : t -> evals:int -> eager_equiv:int -> unit
 (** Credit historical counts (snapshot restore). *)

@@ -292,6 +292,8 @@ let inc_w t s = t.inc.(s).Inc.w
 let inc_loads t s = t.inc.(s).Inc.loads
 let capacity_flat t = t.capacity
 let utility_caps t = t.utility_caps
+let budgets t = t.budget
+let cost_row t s = t.cost.(s)
 
 let check_nonneg what x =
   if x < 0. || Float.is_nan x then

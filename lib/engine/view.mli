@@ -114,6 +114,13 @@ val capacity_flat : t -> float array
 val utility_caps : t -> float array
 (** Per-slot utility caps; entries beyond [num_slots] are zero. *)
 
+val budgets : t -> float array
+(** The budget vector: [budgets t].(i) = [budget t i], length [m]. *)
+
+val cost_row : t -> int -> float array
+(** The stream's server costs: [cost_row t s].(i) = [server_cost t s i],
+    length [m]. *)
+
 (** {1 Mutation} *)
 
 val apply : t -> Delta.t -> applied

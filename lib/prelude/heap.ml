@@ -63,13 +63,6 @@ let pop t =
     Some top
   end
 
-let replace_top t x =
-  if t.size = 0 then invalid_arg "Heap.replace_top: empty heap"
-  else begin
-    t.data.(0) <- x;
-    sift_down t 0
-  end
-
 let pop_exn t =
   match pop t with
   | Some x -> x

@@ -24,12 +24,6 @@ val peek : 'a t -> 'a option
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
-val replace_top : 'a t -> 'a -> unit
-(** [replace_top t x] replaces the smallest element with [x] in one
-    [O(log n)] sift — the fused pop-then-push that lazy-greedy
-    (CELF-style) loops perform on every stale re-evaluation.
-    @raise Invalid_argument on an empty heap. *)
-
 val pop_exn : 'a t -> 'a
 (** Like {!pop}. @raise Invalid_argument on an empty heap. *)
 

@@ -194,6 +194,8 @@ let run_chunks ~chunk ~n body =
 
 let default_chunk = 64
 
+let iter_chunks ?(chunk = default_chunk) n body = run_chunks ~chunk ~n body
+
 let init ?(chunk = default_chunk) n f =
   if n <= 0 then [||]
   else if n <= max 1 chunk || num_domains () <= 1 || busy () then

@@ -70,6 +70,13 @@ val parallel_map : ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 val float_init : ?chunk:int -> int -> (int -> float) -> float array
 (** {!init} specialised to unboxed float results. *)
 
+val iter_chunks : ?chunk:int -> int -> (int -> int -> unit) -> unit
+(** [iter_chunks n body] calls [body lo hi] once for each
+    [chunk]-sized slice [[lo, hi)] of [[0, n)], the slices spread over
+    the pool ([n <= chunk] runs inline as [body 0 n]). For in-place
+    fills of a caller-owned array: each index belongs to exactly one
+    slice, so per-index results cannot depend on the domain count. *)
+
 val for_reduce :
   ?chunk:int ->
   init:'acc ->

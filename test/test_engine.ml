@@ -175,7 +175,31 @@ let test_lazy_saves_on_big_instances () =
 
 (* ---------- Controller invariants under churn ---------- *)
 
+(* The planner's kernel skips the per-slot membership test for a
+   stream that is not admitted, which is sound only while no slot
+   holds a stream the server does not transmit. *)
+let delivered_are_admitted ctrl =
+  let p = C.planner ctrl in
+  let ok = ref true in
+  for u = 0 to V.num_slots (C.view ctrl) - 1 do
+    List.iter (fun s -> if not (P.is_admitted p s) then ok := false)
+      (P.delivered p u)
+  done;
+  !ok
+
+(* Bitwise plan equality: the same utility bits, the same transmitted
+   streams and the same assignment. *)
+let same_plan_bits ctrl scratch =
+  Int64.equal
+    (Int64.bits_of_float (C.utility ctrl))
+    (Int64.bits_of_float (P.utility scratch))
+  && P.admitted (C.planner ctrl) = P.admitted scratch
+  && Mmd.Io.assignment_to_string (C.plan ctrl)
+     = Mmd.Io.assignment_to_string (P.assignment scratch)
+
 let check_consistent ~msg ctrl =
+  check_bool (msg ^ ": every delivered stream is admitted") true
+    (delivered_are_admitted ctrl);
   let frozen = V.materialize (C.view ctrl) in
   let plan = C.plan ctrl in
   check_bool (msg ^ ": plan feasible") true
@@ -200,9 +224,8 @@ let test_replan_matches_scratch () =
   let ctrl = C.create ~policy:C.Manual inst in
   C.apply_all ctrl log;
   C.replan ctrl;
-  let scratch_util, _ = C.scratch (C.view ctrl) in
-  check_float_loose "replan equals from-scratch solve" scratch_util
-    (C.utility ctrl)
+  check_bool "replan equals from-scratch solve, bit for bit" true
+    (same_plan_bits ctrl (C.scratch_planner (C.view ctrl)))
 
 (* Metamorphic property: whatever the delta sequence, after a final
    replan the maintained plan is feasible and exactly as good as
@@ -225,18 +248,23 @@ let metamorphic_prop (seed, deltas, policy) =
       { Engine.Churn.default with deltas }
   in
   let ctrl = C.create ~policy inst in
-  C.apply_all ctrl log;
+  let invariant =
+    List.for_all
+      (fun d ->
+        ignore (C.apply ctrl d);
+        delivered_are_admitted ctrl)
+      log
+  in
   C.replan ctrl;
   let frozen = V.materialize (C.view ctrl) in
   let plan = C.plan ctrl in
-  let scratch_util, _ = C.scratch (C.view ctrl) in
   let best_single =
     match P.best_single (C.planner ctrl) with Some (_, w) -> w | None -> 0.
   in
-  Mmd.Assignment.is_feasible frozen plan
+  invariant
+  && Mmd.Assignment.is_feasible frozen plan
   && Float.abs (C.utility ctrl -. Mmd.Assignment.utility frozen plan) < 1e-6
-  && Float.abs (C.utility ctrl -. scratch_util)
-     <= 1e-6 *. Float.max 1. scratch_util
+  && same_plan_bits ctrl (C.scratch_planner (C.view ctrl))
   && C.utility ctrl +. 1e-9 >= best_single
 
 let qcheck_metamorphic =
@@ -245,6 +273,28 @@ let qcheck_metamorphic =
       triple (int_range 1 10_000) (int_range 0 150)
         (oneofl [ C.Every 8; C.Every 32; C.Drift 0.05; C.Manual ]))
     metamorphic_prop
+
+(* The kernel's inlined tolerance test is [Float_ops.leq] at the
+   default tolerance, on ordinary values, values within the tolerance
+   of each other, signed zeros, infinities and NaN alike. *)
+let leq_agrees_prop (a, b) =
+  P.leq a b = Prelude.Float_ops.leq a b && P.leq b a = Prelude.Float_ops.leq b a
+
+let qcheck_leq_agrees =
+  let special =
+    QCheck2.Gen.oneofl
+      [ 0.; -0.; 1.; -1.; 1e-9; -1e-9; infinity; neg_infinity; nan; max_float;
+        -.max_float; min_float ]
+  in
+  let any = QCheck2.Gen.(oneof [ special; float; float_range (-10.) 10. ]) in
+  let near =
+    QCheck2.Gen.(
+      map2 (fun a k -> (a, a +. (k *. 1e-9 *. Float.max 1. (Float.abs a))))
+        (float_range (-1e6) 1e6) (float_range (-3.) 3.))
+  in
+  qtest ~count:2000 "planner leq = Float_ops.leq at the default tolerance"
+    QCheck2.Gen.(oneof [ pair any any; near ])
+    leq_agrees_prop
 
 (* ---------- Counters ---------- *)
 
@@ -341,6 +391,7 @@ let suite =
       test_controller_stays_consistent;
     Alcotest.test_case "replan matches scratch solve" `Quick
       test_replan_matches_scratch;
+    qcheck_leq_agrees;
     qcheck_metamorphic;
     Alcotest.test_case "counters accounting" `Quick test_counters_accounting;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;

@@ -11,6 +11,7 @@ module V = Engine.View
 module WS = Engine.Wal_store
 module K = Engine.Checkpoint
 module R = Engine.Recovery
+module P = Engine.Planner
 
 let world ?(deltas = 100) seed =
   let rng = Prelude.Rng.create seed in
@@ -131,6 +132,105 @@ let qcheck_des_batch_identity =
   qtest ~count:15 "simulation stats bit-identical at every batch"
     QCheck2.Gen.(pair (int_range 1 10_000) (int_range 2 64))
     des_batch_identity_prop
+
+(* ---------- plan bits pinned across epoch replans ---------- *)
+
+(* A churn run on a mid-size world, hashed after every epoch replan:
+   the admitted set, every slot's delivered set, the planner's
+   accumulated float state (bit patterns, not rounded decimals) and
+   its marginal-evaluation count. Between replans the admitted set,
+   the budget usage and the utility are hashed after every delta, so
+   the churn repairs (joins, leaves, cost-change and budget-resize
+   evictions) are pinned too. The expected digests were computed
+   before the greedy kernel was rewritten for speed; any change to the
+   evaluation order, the heap order, the eviction order or a single
+   float operation shows up here as a different hex string. The
+   initial users have finite utility caps (joiners do not), so capped
+   and uncapped slots both occur. A [quantized] world has equal costs
+   and unit utilities, so the greedy meets exact ties in
+   cost-effectiveness and the tie-breaks are pinned too. *)
+let plan_digest ~quantized seed =
+  let rng = Prelude.Rng.create seed in
+  let g = Workloads.Generator.default in
+  let inst =
+    Workloads.Generator.instance rng
+      { g with
+        num_streams = 300;
+        num_users = 600;
+        m = 2;
+        mc = 1;
+        density = 0.02;
+        budget_fraction = 0.25;
+        utility_cap_fraction = Some 0.4;
+        cost_range = (if quantized then (2., 2.) else g.cost_range);
+        utility_range = (if quantized then (1., 1.) else g.utility_range) }
+  in
+  let log =
+    Engine.Churn.generate ~rng (V.of_instance inst)
+      { Engine.Churn.default with deltas = 2_000 }
+  in
+  let ctrl = C.create ~policy:(C.Every 32) inst in
+  let p = C.planner ctrl in
+  let m = V.m (C.view ctrl) in
+  let buf = Buffer.create 65_536 in
+  let bits f = Printf.bprintf buf "%Lx," (Int64.bits_of_float f) in
+  let ints l = List.iter (fun s -> Printf.bprintf buf "%d," s) l in
+  let digest = ref (Digest.string "") in
+  let fold () =
+    digest := Digest.string (!digest ^ Digest.string (Buffer.contents buf));
+    Buffer.clear buf
+  in
+  let epoch () =
+    ints (P.admitted p);
+    Buffer.add_char buf '|';
+    for u = 0 to V.num_slots (C.view ctrl) - 1 do
+      ints (P.delivered p u);
+      Buffer.add_char buf ';'
+    done;
+    let total, used, slots = P.float_state p in
+    bits total;
+    Array.iter bits used;
+    Array.iter
+      (fun (du, capped, cu) ->
+        bits du;
+        bits capped;
+        Array.iter bits cu)
+      slots;
+    Printf.bprintf buf "|%d" (P.evals p);
+    fold ()
+  in
+  let repair () =
+    ints (P.admitted p);
+    for i = 0 to m - 1 do
+      bits (P.server_used p i)
+    done;
+    bits (P.utility p);
+    fold ()
+  in
+  epoch ();
+  let epochs = ref 1 in
+  List.iter
+    (fun d ->
+      ignore (C.apply ctrl d);
+      if C.since_replan ctrl = 0 then begin
+        incr epochs;
+        epoch ()
+      end
+      else repair ())
+    log;
+  (!epochs, (C.report ctrl).Engine.Counters.evictions, Digest.to_hex !digest)
+
+let test_plan_digest_pinned () =
+  List.iter
+    (fun (seed, quantized, epochs, evictions, hex) ->
+      let epochs', evictions', hex' = plan_digest ~quantized seed in
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      check_int (name "epochs") epochs epochs';
+      check_int (name "evictions") evictions evictions';
+      Alcotest.(check string) (name "plan digest") hex hex')
+    [ (1, false, 63, 41, "0aab83b433ad33b5693775a7c04d6848");
+      (4, true, 63, 67, "8b82387e57282f943822293a6e0f7981");
+      (5, true, 63, 50, "e3efe4cd57001552ef12acb7910f7337") ]
 
 (* ---------- chain + compacted store: crash anywhere ---------- *)
 
@@ -340,6 +440,8 @@ let suite =
     qcheck_sharded_batch_identity;
     qcheck_des_batch_identity;
     qcheck_chain_recovery;
+    Alcotest.test_case "replan plan bits pinned across epochs" `Quick
+      test_plan_digest_pinned;
     Alcotest.test_case "store: roll, resume, compact" `Quick
       test_store_roll_resume_compact;
     Alcotest.test_case "store: single segment is a plain wal" `Quick

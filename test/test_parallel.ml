@@ -46,6 +46,17 @@ let pipeline_eq =
 
 let best_of_eq = plan_equality "best_of" Algorithms.Solve.best_of mmd
 
+(* The engine's epoch replan seeds its candidate bounds on the pool;
+   more streams than one 64-stream chunk, so the seeding fans out. *)
+let engine_replan_eq =
+  plan_equality "engine replan"
+    (fun t ->
+      Engine.Planner.assignment
+        (Engine.Controller.scratch_planner ~mode:Engine.Planner.Lazy
+           (Engine.View.of_instance t)))
+    (fun ~seed ->
+      random_mmd ~seed ~num_streams:150 ~num_users:20 ~m:2 ~mc:1 ~skew:1.)
+
 (* The utility value is byte-identical too (same floats, not merely
    approximately equal): the pool never re-associates a float sum. *)
 let utility_bits_eq =
@@ -61,4 +72,9 @@ let utility_bits_eq =
       Int64.equal (Int64.bits_of_float seq) (Int64.bits_of_float par))
 
 let suite =
-  [ greedy_eq; sviridenko_eq; pipeline_eq; best_of_eq; utility_bits_eq ]
+  [ greedy_eq;
+    sviridenko_eq;
+    pipeline_eq;
+    best_of_eq;
+    engine_replan_eq;
+    utility_bits_eq ]

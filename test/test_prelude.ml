@@ -239,47 +239,11 @@ let test_heap_empty () =
   Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
     (fun () -> ignore (Heap.pop_exn h))
 
-let test_heap_replace_top () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Heap.replace_top: empty heap") (fun () ->
-      Heap.replace_top h 0);
-  List.iter (Heap.push h) [ 4; 2; 7 ];
-  (* Replace with a larger key: sifts down past the other elements. *)
-  Heap.replace_top h 9;
-  check_int "size unchanged" 3 (Heap.length h);
-  check_bool "new min surfaces" true (Heap.peek h = Some 4);
-  (* Replace with a smaller key: stays on top. *)
-  Heap.replace_top h 1;
-  check_bool "small key stays" true (Heap.peek h = Some 1);
-  Alcotest.(check (list int)) "order intact" [ 1; 7; 9 ]
-    (Heap.to_sorted_list h)
-
 let heap_qcheck =
   qtest "heap drains sorted" QCheck2.Gen.(list int) (fun xs ->
       let h = Heap.create ~cmp:compare in
       List.iter (Heap.push h) xs;
       Heap.to_sorted_list h = List.sort compare xs)
-
-(* replace_top must behave exactly like pop-then-push. *)
-let heap_replace_qcheck =
-  qtest "replace_top = pop;push"
-    QCheck2.Gen.(pair (list int) (list int))
-    (fun (init, replacements) ->
-      match init with
-      | [] -> true
-      | _ ->
-          let a = Heap.create ~cmp:compare in
-          let b = Heap.create ~cmp:compare in
-          List.iter (Heap.push a) init;
-          List.iter (Heap.push b) init;
-          List.iter
-            (fun x ->
-              Heap.replace_top a x;
-              ignore (Heap.pop b);
-              Heap.push b x)
-            replacements;
-          Heap.to_sorted_list a = Heap.to_sorted_list b)
 
 (* ---------- Bitset ---------- *)
 
@@ -466,9 +430,7 @@ let suite =
     ("geometric mean", `Quick, test_geometric_mean);
     ("heap order", `Quick, test_heap_order);
     ("heap empty", `Quick, test_heap_empty);
-    ("heap replace_top", `Quick, test_heap_replace_top);
     heap_qcheck;
-    heap_replace_qcheck;
     ("bitset basics", `Quick, test_bitset_basics);
     ("bitset bounds", `Quick, test_bitset_bounds);
     bitset_qcheck;
