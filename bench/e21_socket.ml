@@ -282,6 +282,7 @@ let run () =
     "{\n\
     \  \"experiment\": \"e21_socket\",\n\
     \  \"smoke\": %b,\n\
+    \  \"host\": %s,\n\
     \  \"instance\": { \"num_streams\": %d, \"num_users\": %d, \"m\": 2, \
      \"mc\": 1 },\n\
     \  \"parity\": { \"deltas\": %d, \"queue_seconds\": %.6f, \
@@ -297,7 +298,7 @@ let run () =
      %d, \"harness_failures\": %d, \"seconds\": %.3f, \"rows\": [\n%s\n  ] },\n\
     \  \"proc_divergent_survivors\": %d\n\
      }\n"
-    smoke num_streams num_users parity_deltas queue_s socket_s
+    smoke (host_json ()) num_streams num_users parity_deltas queue_s socket_s
     (socket_s /. queue_s) parity reconnects matrix_runs !matrix_faults
     matrix_seconds !matrix_divergence !handovers_done handover_seconds
     !handover_lost !handover_divergence proc_kills proc_deltas !proc_failures

@@ -126,9 +126,10 @@ let best_candidate st =
 
 (* Selection rounds = candidate-scan iterations of the marginal loop;
    tallied locally and flushed once per run so the scan itself stays
-   allocation- and atomic-free. *)
-let m_rounds = lazy (Obs.Metrics.counter "greedy_select_rounds_total")
-let m_picks = lazy (Obs.Metrics.counter "greedy_picks_total")
+   allocation- and atomic-free. Eager, not [lazy]: runs inside pool
+   tasks would force them from several domains at once, which raises. *)
+let m_rounds = Obs.Metrics.counter "greedy_select_rounds_total"
+let m_picks = Obs.Metrics.counter "greedy_picks_total"
 
 let run_impl ~initial_streams inst =
   if I.m inst <> 1 then invalid_arg "Greedy.run: requires m = 1";
@@ -160,10 +161,10 @@ let run_impl ~initial_streams inst =
         loop ()
   in
   loop ();
-  Obs.Metrics.inc ~n:!rounds (Lazy.force m_rounds);
+  Obs.Metrics.inc ~n:!rounds m_rounds;
   Obs.Metrics.inc
     ~n:(List.length st.picks_rev)
-    (Lazy.force m_picks);
+    m_picks;
   { assignment =
       Mmd.Assignment.of_bitset ~num_users:(I.num_users inst) ~num_streams:st.ns
         st.assigned;

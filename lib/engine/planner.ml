@@ -439,9 +439,11 @@ let heap_pop t =
 
 (* Exported planner metrics. Heap pops and marginal evaluations are
    tallied locally inside the loops and flushed once per extend, so
-   the hot path never touches an atomic. *)
-let m_heap_pops = lazy (Obs.Metrics.counter "planner_heap_pops_total")
-let m_evals = lazy (Obs.Metrics.counter "planner_marginal_evals_total")
+   the hot path never touches an atomic. Eager, not [lazy]: the shard
+   router replans inside pool tasks, and concurrent forcing of one
+   [lazy] raises. *)
+let m_heap_pops = Obs.Metrics.counter "planner_heap_pops_total"
+let m_evals = Obs.Metrics.counter "planner_marginal_evals_total"
 
 let extend_lazy t =
   let evals0 = t.evals in
@@ -476,8 +478,8 @@ let extend_lazy t =
       fresh := s
     end
   done;
-  Obs.Metrics.inc ~n:!pops (Lazy.force m_heap_pops);
-  Obs.Metrics.inc ~n:(t.evals - evals0) (Lazy.force m_evals)
+  Obs.Metrics.inc ~n:!pops m_heap_pops;
+  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
 
 let extend_eager t =
   let evals0 = t.evals in
@@ -511,7 +513,7 @@ let extend_eager t =
       t.cand_len <- t.cand_len - 1
     end
   done;
-  Obs.Metrics.inc ~n:(t.evals - evals0) (Lazy.force m_evals)
+  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
 
 let extend ?(mode = Lazy) t =
   ensure_slots t;

@@ -4,45 +4,101 @@ let is_wal text =
   String.length text >= String.length magic
   && String.sub text 0 (String.length magic) = magic
 
-(* The CRC covers "<seq> <payload>" so that a bit-perfect record pasted
-   at a different position (different seq) still fails verification. *)
-let body ~seq payload = Printf.sprintf "%d %s" seq payload
+module Crc32 = Prelude.Crc32
 
+let hex = "0123456789abcdef"
+
+(* The CRC covers "<seq> <payload>" so that a bit-perfect record pasted
+   at a different position (different seq) still fails verification.
+   It is chained over "<seq> " and then the payload, so that string is
+   never built. *)
 let record_to_string ~seq delta =
   let payload = Delta.to_string delta in
-  let b = body ~seq payload in
-  Printf.sprintf "%d %s %s" seq (Prelude.Crc32.to_hex (Prelude.Crc32.digest b)) payload
+  let seq_s = string_of_int seq in
+  let ls = String.length seq_s and lp = String.length payload in
+  let crc =
+    Crc32.digest_sub ~init:(Crc32.digest ~init:(Crc32.digest seq_s) " ")
+      payload ~pos:0 ~len:lp
+  in
+  let c = Int32.to_int crc in
+  let b = Bytes.create (ls + 10 + lp) in
+  Bytes.blit_string seq_s 0 b 0 ls;
+  Bytes.set b ls ' ';
+  for k = 0 to 7 do
+    Bytes.set b (ls + 1 + k) hex.[(c lsr (28 - (4 * k))) land 0xf]
+  done;
+  Bytes.set b (ls + 9) ' ';
+  Bytes.blit_string payload 0 b (ls + 10) lp;
+  Bytes.unsafe_to_string b
 
+(* [line.[0 .. i-1]] as a sequence number when it is written the way
+   the encoder writes one (decimal, no sign, no leading zero), else -1. *)
+let canonical_seq line i =
+  let rec go k acc =
+    if k = i then acc
+    else
+      match line.[k] with
+      | '0' .. '9' as c -> go (k + 1) ((acc * 10) + Char.code c - 48)
+      | _ -> -1
+  in
+  if i < 1 || i > 18 || line.[0] = '0' then -1 else go 0 0
+
+(* The 8 hex digits at [line.[a .. b-1]] as an unsigned 32-bit value,
+   or -1 (the field is exactly what [Crc32.of_hex] accepts). *)
+let hex_field line a b =
+  let rec go k acc =
+    if k = b then acc
+    else
+      match line.[k] with
+      | '0' .. '9' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 48))
+      | 'a' .. 'f' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 87))
+      | 'A' .. 'F' as c -> go (k + 1) ((acc lsl 4) lor (Char.code c - 55))
+      | _ -> -1
+  in
+  if b - a <> 8 then -1 else go a 0
+
+(* Verifies the CRC over the line's own bytes and parses the payload in
+   place. *)
 let record_of_string line =
+  let n = String.length line in
   match String.index_opt line ' ' with
   | None -> Error "not a WAL record (no sequence field)"
   | Some i -> (
-      let seq_tok = String.sub line 0 i in
-      match int_of_string_opt seq_tok with
-      | None -> Error (Printf.sprintf "bad sequence number %S" seq_tok)
-      | Some seq when seq < 1 ->
-          Error (Printf.sprintf "bad sequence number %S" seq_tok)
-      | Some seq -> (
-          let rest = String.sub line (i + 1) (String.length line - i - 1) in
-          match String.index_opt rest ' ' with
-          | None -> Error "not a WAL record (no checksum field)"
-          | Some j -> (
-              let crc_tok = String.sub rest 0 j in
-              let payload =
-                String.sub rest (j + 1) (String.length rest - j - 1)
-              in
-              match Prelude.Crc32.of_hex crc_tok with
-              | None -> Error (Printf.sprintf "bad checksum field %S" crc_tok)
-              | Some crc ->
-                  let actual = Prelude.Crc32.digest (body ~seq payload) in
-                  if actual <> crc then
-                    Error
-                      (Printf.sprintf "checksum mismatch (stored %s, actual %s)"
-                         crc_tok (Prelude.Crc32.to_hex actual))
-                  else (
-                    match Delta.of_string_result payload with
-                    | Ok d -> Ok (seq, d)
-                    | Error msg -> Error msg))))
+      let bad_seq () =
+        Error (Printf.sprintf "bad sequence number %S" (String.sub line 0 i))
+      in
+      (* A sequence field in another integer form ("+5", "05") still
+         names its value, and the CRC covers the canonical rendering. *)
+      let seq, init =
+        match canonical_seq line i with
+        | -1 -> (
+            match int_of_string_opt (String.sub line 0 i) with
+            | Some seq when seq >= 1 ->
+                (seq, Crc32.digest (string_of_int seq ^ " "))
+            | _ -> (-1, 0l))
+        | seq -> (seq, Crc32.digest_sub line ~pos:0 ~len:(i + 1))
+      in
+      if seq < 1 then bad_seq ()
+      else
+        match String.index_from_opt line (i + 1) ' ' with
+        | None -> Error "not a WAL record (no checksum field)"
+        | Some j ->
+            let crc_tok () = String.sub line (i + 1) (j - i - 1) in
+            let stored = hex_field line (i + 1) j in
+            if stored < 0 then
+              Error (Printf.sprintf "bad checksum field %S" (crc_tok ()))
+            else
+              let pos = j + 1 in
+              let len = n - pos in
+              let actual = Crc32.digest_sub ~init line ~pos ~len in
+              if Int32.to_int actual land 0xffffffff <> stored then
+                Error
+                  (Printf.sprintf "checksum mismatch (stored %s, actual %s)"
+                     (crc_tok ()) (Crc32.to_hex actual))
+              else
+                Result.map
+                  (fun d -> (seq, d))
+                  (Delta.of_substring_result line ~pos ~len))
 
 let to_string ?(first_seq = 1) deltas =
   let buf = Buffer.create 4096 in
@@ -89,26 +145,43 @@ let source_of_string text =
           pos := len;
           Some (line, false)
 
-(* One buffered line at a time: a multi-gigabyte shipped log recovers
-   in memory proportional to its records, not to the file. *)
+(* Reads the channel in blocks and cuts lines out of them: a
+   multi-gigabyte shipped log recovers in memory proportional to its
+   records, not to the file. A line that spans blocks is assembled in
+   [line]. *)
 let source_of_channel ic =
-  let buf = Buffer.create 256 in
+  let block = Bytes.create 65536 in
+  let pos = ref 0 and filled = ref 0 in
+  let line = Buffer.create 256 in
   let eof = ref false in
+  let rec newline i =
+    if i = !filled then -1 else if Bytes.get block i = '\n' then i else newline (i + 1)
+  in
+  let rec scan () =
+    if !pos = !filled then begin
+      filled := input ic block 0 (Bytes.length block);
+      pos := 0
+    end;
+    if !filled = 0 then begin
+      eof := true;
+      if Buffer.length line = 0 then None
+      else Some (Buffer.contents line, false)
+    end
+    else
+      match newline !pos with
+      | -1 ->
+          Buffer.add_subbytes line block !pos (!filled - !pos);
+          pos := !filled;
+          scan ()
+      | k ->
+          Buffer.add_subbytes line block !pos (k - !pos);
+          pos := k + 1;
+          Some (Buffer.contents line, true)
+  in
   fun () ->
     if !eof then None
     else begin
-      Buffer.clear buf;
-      let rec scan () =
-        match input_char ic with
-        | '\n' -> Some (Buffer.contents buf, true)
-        | c ->
-            Buffer.add_char buf c;
-            scan ()
-        | exception End_of_file ->
-            eof := true;
-            if Buffer.length buf = 0 then None
-            else Some (Buffer.contents buf, false)
-      in
+      Buffer.clear line;
       scan ()
     end
 

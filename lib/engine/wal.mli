@@ -59,11 +59,13 @@ val recover_string : string -> (recovery, string) result
     magic line is reported through [quarantined], never as [Error]. *)
 
 val recover_channel : in_channel -> (recovery, string) result
-(** {!recover_string} reading the channel one line at a time: a long
-    shipped log recovers in memory proportional to its surviving
-    records, never holding the whole file as one string. Same result
-    as the string path on the same bytes, including quarantine and
-    torn-tail classification. *)
+(** {!recover_string} reading the channel in 64 KiB blocks and
+    verifying one line at a time: a long shipped log recovers in memory
+    proportional to its surviving records, never holding the whole
+    file as one string. Same result as the string path on the same
+    bytes, including quarantine and torn-tail classification. The
+    channel's position afterwards is unspecified (up to a block past
+    the last line examined). *)
 
 val recover_file : string -> (recovery, string) result
 (** {!recover_channel} on a file; IO errors become [Error]. *)

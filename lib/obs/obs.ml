@@ -570,11 +570,13 @@ end
 (* Pool instrumentation + span-context propagation: the factory runs
    once per submitted region on the submitting domain (capturing the
    parent span and the submit time); the returned wrapper runs around
-   every task on whichever domain picks it up. *)
-let pool_tasks = lazy (Metrics.counter "pool_tasks_total")
-let pool_regions = lazy (Metrics.counter "pool_regions_total")
-let pool_queue_delay = lazy (Metrics.histogram "pool_task_queue_delay_seconds")
-let pool_task_run = lazy (Metrics.histogram "pool_task_run_seconds")
+   every task on whichever domain picks it up. The handles are created
+   eagerly: worker domains use them, and two domains forcing one
+   [lazy] at once raise [CamlinternalLazy.Undefined]. *)
+let pool_tasks = Metrics.counter "pool_tasks_total"
+let pool_regions = Metrics.counter "pool_regions_total"
+let pool_queue_delay = Metrics.histogram "pool_task_queue_delay_seconds"
+let pool_task_run = Metrics.histogram "pool_task_run_seconds"
 
 let () =
   Prelude.Pool.set_task_wrapper
@@ -582,17 +584,17 @@ let () =
        (fun () ->
          let parent = Span.current () in
          let submitted = Clock.now () in
-         Metrics.inc (Lazy.force pool_regions);
+         Metrics.inc pool_regions;
          fun task () ->
-           Metrics.inc (Lazy.force pool_tasks);
+           Metrics.inc pool_tasks;
            let r = Domain.DLS.get Span.context in
            let saved = !r in
            r := parent;
            let t0 = Clock.now () in
-           Hist.observe (Lazy.force pool_queue_delay) (t0 -. submitted);
+           Hist.observe pool_queue_delay (t0 -. submitted);
            Fun.protect
              ~finally:(fun () ->
-               Hist.observe (Lazy.force pool_task_run)
+               Hist.observe pool_task_run
                  (Clock.elapsed_since t0);
                r := saved)
              task))

@@ -11,27 +11,12 @@ module Frame = struct
     | Lease of { term : int; last_seq : int; successor : int }
 
   let to_string = function
-    | Data { term; line } -> Printf.sprintf "D %d %s" term line
-    | Shock { term; line } -> Printf.sprintf "S %d %s" term line
+    | Data { term; line } -> String.concat "" [ "D "; string_of_int term; " "; line ]
+    | Shock { term; line } -> String.concat "" [ "S "; string_of_int term; " "; line ]
     | Heartbeat { term; last_seq; tick } ->
         Printf.sprintf "H %d %d %d" term last_seq tick
     | Lease { term; last_seq; successor } ->
         Printf.sprintf "L %d %d %d" term last_seq successor
-
-  (* "<tag> <int> <rest>"; [rest] may itself contain spaces. *)
-  let split3 s =
-    match String.index_opt s ' ' with
-    | None -> None
-    | Some i -> (
-        let tag = String.sub s 0 i in
-        let rest = String.sub s (i + 1) (String.length s - i - 1) in
-        match String.index_opt rest ' ' with
-        | None -> Some (tag, rest, "")
-        | Some j ->
-            Some
-              ( tag,
-                String.sub rest 0 j,
-                String.sub rest (j + 1) (String.length rest - j - 1) ))
 
   let two_ints rest =
     match
@@ -43,27 +28,40 @@ module Frame = struct
         | _ -> None)
     | _ -> None
 
+  (* "<tag> <term> <rest>"; [rest] may itself contain spaces and is
+     the only part copied out. *)
   let of_string s =
-    match split3 s with
+    let n = String.length s in
+    match String.index_opt s ' ' with
     | None -> Error "not a replication frame"
-    | Some (tag, term_tok, rest) -> (
+    | Some i -> (
+        let j =
+          match String.index_from_opt s (i + 1) ' ' with
+          | Some j -> j
+          | None -> n
+        in
+        let term_tok = String.sub s (i + 1) (j - i - 1) in
         match int_of_string_opt term_tok with
         | None -> Error (Printf.sprintf "bad term %S" term_tok)
         | Some term -> (
-            match tag with
-            | "D" when rest <> "" -> Ok (Data { term; line = rest })
-            | "S" when rest <> "" -> Ok (Shock { term; line = rest })
+            let rest_len = max 0 (n - j - 1) in
+            let rest () =
+              if rest_len = 0 then "" else String.sub s (j + 1) rest_len
+            in
+            match String.sub s 0 i with
+            | "D" when rest_len > 0 -> Ok (Data { term; line = rest () })
+            | "S" when rest_len > 0 -> Ok (Shock { term; line = rest () })
             | "H" -> (
-                match two_ints rest with
+                match two_ints (rest ()) with
                 | Some (last_seq, tick) ->
                     Ok (Heartbeat { term; last_seq; tick })
                 | None -> Error "bad heartbeat frame")
             | "L" -> (
-                match two_ints rest with
+                match two_ints (rest ()) with
                 | Some (last_seq, successor) ->
                     Ok (Lease { term; last_seq; successor })
                 | None -> Error "bad lease frame")
-            | _ -> Error (Printf.sprintf "unknown frame tag %S" tag)))
+            | tag -> Error (Printf.sprintf "unknown frame tag %S" tag)))
 end
 
 (* ---------- Followers ---------- *)
@@ -280,11 +278,10 @@ let drain_follower g f = List.iter (follower_recv g f) (Transport.drain f.tr)
 
 (* ---------- Heartbeats, retransmit, failure detection ---------- *)
 
-let send_record g f ~shock line =
-  f.tr.Transport.send
-    (Frame.to_string
-       (if shock then Frame.Shock { term = g.term; line }
-        else Frame.Data { term = g.term; line }))
+let record_frame g ~shock line =
+  Frame.to_string
+    (if shock then Frame.Shock { term = g.term; line }
+     else Frame.Data { term = g.term; line })
 
 let retransmit g f =
   for seq = f.acked + 1 to g.history_hi do
@@ -292,7 +289,7 @@ let retransmit g f =
       match Hashtbl.find_opt g.history seq with
       | Some (shock, line) ->
           Obs.Metrics.inc g.m_retransmits;
-          send_record g f ~shock line
+          f.tr.Transport.send (record_frame g ~shock line)
       | None -> ()
   done
 
@@ -416,7 +413,9 @@ let ship g ~shock seq line =
   Hashtbl.replace g.history seq (shock, line);
   if seq > g.history_hi then g.history_hi <- seq;
   Obs.Metrics.inc g.m_shipped;
-  List.iter (fun f -> send_record g f ~shock line) (live_followers_list g)
+  (* One frame string for every follower: the links only read it. *)
+  let frame = record_frame g ~shock line in
+  List.iter (fun f -> f.tr.Transport.send frame) (live_followers_list g)
 
 let apply ?flush g d =
   if not g.primary_alive then

@@ -74,6 +74,7 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
   in
   let outcome = ref Orphaned in
   let serving = ref true in
+  let buf = Bytes.create 65536 in
   while !serving do
     match TS.accept ~deadline_s:idle_timeout_s lfd with
     | None -> serving := false
@@ -81,7 +82,7 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
         let dec = Frame_codec.Decoder.create () in
         let connected = ref true in
         while !connected do
-          match TS.recv_frame ~deadline_s:idle_timeout_s fd dec with
+          match TS.recv_frame ~deadline_s:idle_timeout_s ~buf fd dec with
           | TS.Timeout ->
               (* A live but silent primary past the idle timeout: treat
                  as orphaned rather than hang forever. *)
@@ -136,6 +137,7 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
 type peer = {
   pfd : Unix.file_descr;
   pdec : Frame_codec.Decoder.t;
+  pbuf : Bytes.t;  (** read scratch for [pfd] *)
   mutable packed : int;
 }
 
@@ -144,6 +146,7 @@ let connect_peers endpoints =
     (fun ep ->
       { pfd = TS.connect ep;
         pdec = Frame_codec.Decoder.create ();
+        pbuf = Bytes.create 65536;
         packed = 0 })
     endpoints
 
@@ -164,7 +167,7 @@ let ship peers ~term ~shock line =
 let pump_acks ?(deadline_s = 0.25) p =
   let continue = ref true in
   while !continue do
-    match TS.recv_frame ~deadline_s p.pfd p.pdec with
+    match TS.recv_frame ~deadline_s ~buf:p.pbuf p.pfd p.pdec with
     | TS.Frame payload -> (
         match String.split_on_char ' ' payload with
         | [ "A"; n ] -> (
@@ -210,7 +213,7 @@ let collect_digest ?(deadline_s = 5.0) p =
     let remaining = deadline -. Unix.gettimeofday () in
     if remaining <= 0. then None
     else
-      match TS.recv_frame ~deadline_s:remaining p.pfd p.pdec with
+      match TS.recv_frame ~deadline_s:remaining ~buf:p.pbuf p.pfd p.pdec with
       | TS.Frame payload -> (
           match String.split_on_char ' ' payload with
           | [ "X"; d ] -> Some d

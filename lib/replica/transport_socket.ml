@@ -113,9 +113,8 @@ let send_frame fd payload =
 
 type recv_result = Frame of string | Timeout | Closed
 
-let recv_frame ?(deadline_s = 5.0) fd dec =
+let recv_frame ?(deadline_s = 5.0) ~buf fd dec =
   let deadline = Unix.gettimeofday () +. deadline_s in
-  let buf = Bytes.create 65536 in
   let rec go () =
     match Frame_codec.Decoder.next dec with
     | Ok (Some f) -> Frame f
@@ -158,6 +157,9 @@ type conn = {
   lfd : Unix.file_descr;
   addr : endpoint;  (** the listener's bound, dialable address *)
   dec : Frame_codec.Decoder.t;
+  rbuf : Bytes.t;
+      (** read scratch, one per link: a fresh 64 KiB buffer per read
+          would go straight to the major heap *)
   ready : string Queue.t;  (** decoded frames awaiting [recv] *)
   outbox : Buffer.t;  (** encoded bytes the kernel would not take yet *)
   gate : Transport.Gate.t;
@@ -224,11 +226,10 @@ let read_avail c ~timeout =
   match select_read [ c.rfd ] timeout with
   | [] -> `Nothing
   | _ -> (
-      let buf = Bytes.create 65536 in
-      match Unix.read c.rfd buf 0 (Bytes.length buf) with
+      match Unix.read c.rfd c.rbuf 0 (Bytes.length c.rbuf) with
       | 0 -> `Eof
       | n ->
-          Frame_codec.Decoder.feed c.dec ~len:n (Bytes.unsafe_to_string buf);
+          Frame_codec.Decoder.feed c.dec ~len:n (Bytes.unsafe_to_string c.rbuf);
           `Read
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> `Nothing
       | exception Unix.Unix_error ((ECONNRESET | EPIPE | EBADF), _, _) ->
@@ -382,6 +383,7 @@ let loopback ?(endpoint = Tcp ("127.0.0.1", 0)) () =
     { lfd;
       addr;
       dec = Frame_codec.Decoder.create ();
+      rbuf = Bytes.create 65536;
       ready = Queue.create ();
       outbox = Buffer.create 256;
       gate = Transport.Gate.create ();

@@ -66,11 +66,17 @@ type recv_result =
   | Closed  (** peer closed; a partial frame in [dec] is torn *)
 
 val recv_frame :
-  ?deadline_s:float -> Unix.file_descr -> Frame_codec.Decoder.t -> recv_result
+  ?deadline_s:float ->
+  buf:Bytes.t ->
+  Unix.file_descr ->
+  Frame_codec.Decoder.t ->
+  recv_result
 (** Next frame from the stream, feeding [dec] from the socket as
-    needed (deadline default 5s). On [Closed], reset the decoder
-    before reusing it on a new connection. A framing error (bad
-    magic/CRC) is reported as [Closed] — the stream is unusable. *)
+    needed (deadline default 5s). [buf] (non-empty) is the caller's
+    read scratch, reused across calls; its contents are meaningless
+    between calls. On [Closed], reset the decoder before reusing it on
+    a new connection. A framing error (bad magic/CRC) is reported as
+    [Closed] — the stream is unusable. *)
 
 val close_quiet : Unix.file_descr -> unit
 (** Close, ignoring errors (already-closed fds included). *)
