@@ -11,21 +11,7 @@ let fault_of_kind = function
   | F.Link_reset _ -> Some Transport.Reset
   | _ -> None
 
-(* A dead primary with no live follower would spin the failure
-   detector forever: resurrect the crashed followers (scratch rebuild
-   from the shipped log) so promotion has a candidate, then tick until
-   the detector fires. *)
-let ensure_promoted g =
-  if Group.live_followers g = [] then
-    List.iter
-      (fun id -> ignore (Group.restart_follower g id))
-      (Group.follower_ids g);
-  let guard = ref 0 in
-  while (not (Group.primary_alive g)) && !guard < 100_000 do
-    incr guard;
-    Group.tick g
-  done;
-  if not (Group.primary_alive g) then ignore (Group.fail_over g)
+let ensure_promoted = Group.ensure_promoted
 
 let fire g (e : F.event) =
   match e.F.kind with

@@ -36,7 +36,5 @@ val fire : Group.t -> Engine.Fault.event -> unit
     delta source with faults). *)
 
 val ensure_promoted : Group.t -> unit
-(** If the primary is down, run idle ticks until the failure detector
-    promotes a follower (restarting crashed followers first when none
-    is live). A no-op on a healthy group. Drivers call this before
-    applying a delta that may follow a primary kill. *)
+(** {!Group.ensure_promoted}. Drivers call this before applying a
+    delta that may follow a primary kill. *)

@@ -92,6 +92,14 @@ let default_config =
   { heartbeat_every = 8; heartbeat_timeout = 24; backoff_cap = 128;
     max_backoffs = 3 }
 
+let heartbeat_config = function
+  | None -> default_config
+  | Some hb when hb < 1 -> invalid_arg "heartbeat_every: need at least 1"
+  | Some hb ->
+      { default_config with
+        heartbeat_every = hb;
+        heartbeat_timeout = max (3 * hb) default_config.heartbeat_timeout }
+
 type t = {
   inst : Mmd.Instance.t;
   policy : C.epoch_policy;
@@ -646,3 +654,26 @@ let lag g id =
 
 let link g id =
   match find_follower g id with Some f -> Some f.tr | None -> None
+
+(* A dead primary with no live follower would spin the failure
+   detector forever: resurrect the crashed followers (scratch rebuild
+   from the shipped log) so promotion has a candidate, then tick until
+   the detector fires. *)
+let ensure_promoted g =
+  if live_followers g = [] then
+    List.iter (fun id -> ignore (restart_follower g id)) (follower_ids g);
+  let guard = ref 0 in
+  while (not g.primary_alive) && !guard < 100_000 do
+    incr guard;
+    tick g
+  done;
+  if not g.primary_alive then ignore (fail_over g)
+
+let node g =
+  { Engine.Node.apply = (fun d -> ensure_promoted g; apply g d);
+    apply_batch = (fun ds -> ensure_promoted g; ignore (apply_batch g ds));
+    view = (fun () -> C.view g.primary);
+    utility = (fun () -> C.utility g.primary);
+    replan = (fun () -> C.replan g.primary);
+    report = (fun () -> C.report g.primary);
+    close = (fun () -> close g) }

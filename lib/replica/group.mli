@@ -71,6 +71,13 @@ type config = {
 
 val default_config : config
 
+val heartbeat_config : int option -> config
+(** {!default_config} with a heartbeat every [hb] ticks and a
+    detection timeout of at least three heartbeats; [None] is
+    {!default_config}. The one place a heartbeat cadence becomes a
+    config, for the CLI, the shard router and the simulator alike.
+    @raise Invalid_argument when [hb < 1]. *)
+
 type t
 
 val create :
@@ -138,6 +145,18 @@ val hand_over : ?to_:int -> t -> (int, string) result
 val close : t -> unit
 (** Close every follower link, releasing any OS resources (socket
     fds). The group must not be used afterwards. *)
+
+val ensure_promoted : t -> unit
+(** If the primary is down, run idle ticks until the failure detector
+    promotes a follower (restarting crashed followers first when none
+    is live). A no-op on a healthy group. *)
+
+val node : t -> Engine.Node.t
+(** The group as an {!Engine.Node.t}: every apply first
+    {!ensure_promoted}, so a primary killed between deltas is replaced
+    before the next one lands; the read side ([view], [utility],
+    [report]) and [replan] go to the current primary. [close] is
+    {!close}; an attached WAL stays the caller's to close. *)
 
 (** {1 Chaos surface} *)
 

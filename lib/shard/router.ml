@@ -96,16 +96,7 @@ let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?replicas
                C.create ~policy ~labels:(shard_label i)
                  (sub_instance inst ~assign ~shard:i ~share)))
     | Some r ->
-        let config =
-          match heartbeat_every with
-          | None -> Replica.Group.default_config
-          | Some hb ->
-              { Replica.Group.default_config with
-                heartbeat_every = max 1 hb;
-                heartbeat_timeout =
-                  max (3 * max 1 hb)
-                    Replica.Group.default_config.heartbeat_timeout }
-        in
+        let config = Replica.Group.heartbeat_config heartbeat_every in
         Replicated
           (Array.init n (fun i ->
                Replica.Group.create ~policy ~config ~labels:(shard_label i)
@@ -502,3 +493,12 @@ let close t =
   match t.wals with
   | None -> ()
   | Some ws -> Array.iter Engine.Wal.close ws
+
+let node t =
+  { Engine.Node.apply = apply t;
+    apply_batch = apply_batch t;
+    view = (fun () -> t.mirror);
+    utility = (fun () -> utility t);
+    replan = (fun () -> replan_all t);
+    report = (fun () -> report t);
+    close = (fun () -> close t) }

@@ -165,3 +165,9 @@ val global_scratch : t -> float * int
 
 val close : t -> unit
 (** Flush and close the per-shard WAL writers, if any. *)
+
+val node : t -> Engine.Node.t
+(** The router as an {!Engine.Node.t}: deltas route as in {!apply},
+    [view] is the unsharded {!mirror} (so join specs drawn against it
+    do not depend on the shard count), [utility] and [report] are the
+    fleet's, [replan] is {!replan_all} and [close] is {!close}. *)

@@ -76,60 +76,41 @@ let supervised_replan ?(config = default_supervisor)
       in
       attempt 0)
 
-let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
-    ?(epoch = C.Drift 0.05) ?(churn = Engine.Churn.default)
-    ?(faults = ([] : Engine.Fault.schedule)) ?supervisor ?(batch = 1) inst =
-  let ctrl = C.create ~policy:epoch inst in
+(* ---------- The churn loop ---------- *)
+
+(* What a deployment shape adds to the churn loop: how a scheduled
+   fault fires, events of its own on the DES clock, and a last step
+   before the final stats are read. *)
+type shape = {
+  node : Engine.Node.t;
+  fire : Engine.Fault.event -> unit;
+  start : Des.t -> unit;
+  finish : unit -> unit;
+}
+
+let churn_loop ~rng ~duration ~join_rate ~mean_dwell ~churn ~faults ~batch shape =
+  let node = shape.node in
   let des = Des.create () in
   let utility_time = ref 0. in
   let last = ref 0. in
   let joins = ref 0 and leaves = ref 0 and peak = ref 0 in
   (* Departures are fire-and-forget — nothing reads their result — so
-     they defer onto a buffer drained through the batched entry point
-     (Controller.apply_batch). The utility-time integral samples
-     C.utility at every event, so the buffer MUST drain before any
-     observation: draining at the start of the next event, before its
-     integrate_to, keeps the integral bit-identical to per-event
-     applies (the deferred leave takes effect at the start of the
-     interval it would have changed). The window is therefore one
-     event deep whatever [batch] is — the DES is latency-bound where
-     the replay CLI is throughput-bound. Fault boundaries observe the
-     view per delta, so a fault schedule pins the window shut. *)
+     they defer onto a buffer drained through the node's batched entry
+     point. The utility-time integral samples the node's utility at
+     every event, so the buffer MUST drain before any observation:
+     draining at the start of the next event, before its integrate_to,
+     keeps the integral bit-identical to per-event applies (the
+     deferred leave takes effect at the start of the interval it would
+     have changed). The window is therefore one event deep whatever
+     [batch] is — the DES is latency-bound where the replay CLI is
+     throughput-bound. Fault boundaries observe the view per delta, so
+     a fault schedule pins the window shut. *)
   let batch = if faults = [] then max 1 batch else 1 in
   (* Fault schedule boundaries count DES-fed deltas. *)
   let applied = ref 0 in
   let fire_faults () =
     incr applied;
-    List.iter
-      (fun (e : Engine.Fault.event) ->
-        match e.kind with
-        | Engine.Fault.Budget_shock _ | Engine.Fault.Stream_outage _ -> (
-            match Engine.Fault.shock_delta (C.view ctrl) e.kind with
-            | Some d -> ignore (C.absorb_shock ctrl d)
-            | None -> ())
-        | Engine.Fault.Task_exn ->
-            (* The first replan attempt dies inside a pool task; the
-               supervisor retries and the retry succeeds. *)
-            Engine.Counters.note_fault (C.counters ctrl);
-            ignore
-              (supervised_replan ?config:supervisor
-                 ~inject:(fun ~attempt ->
-                   if attempt = 0 then Engine.Fault.raise_in_pool ())
-                 ctrl)
-        | Engine.Fault.Corrupt_log | Engine.Fault.Torn_snapshot ->
-            (* Storage faults are exercised by the WAL/snapshot paths,
-               not the in-memory simulation. *)
-            ()
-        | Engine.Fault.Drop_frame _ | Engine.Fault.Dup_frame _
-        | Engine.Fault.Reorder_frames _ | Engine.Fault.Truncate_frame _
-        | Engine.Fault.Follower_crash _ | Engine.Fault.Primary_crash
-        | Engine.Fault.Heartbeat_partition _ | Engine.Fault.Hold_frames _
-        | Engine.Fault.Link_partition _ | Engine.Fault.Link_reset _
-        | Engine.Fault.Hand_over ->
-            (* Replication faults attack the shipping layer; the
-               Replica.Chaos harness drives them. *)
-            ())
-      (Engine.Fault.at faults !applied)
+    List.iter shape.fire (Engine.Fault.at faults !applied)
   in
   let pending = ref [] and npending = ref 0 in
   let flush_pending () =
@@ -137,13 +118,13 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
       let ds = List.rev !pending in
       pending := [];
       npending := 0;
-      C.apply_batch ctrl ds;
+      node.apply_batch ds;
       List.iter (fun _ -> fire_faults ()) ds
     end
   in
   let integrate_to now =
     flush_pending ();
-    utility_time := !utility_time +. (C.utility ctrl *. (now -. !last));
+    utility_time := !utility_time +. (node.utility () *. (now -. !last));
     last := now
   in
   let depart slot des =
@@ -160,11 +141,11 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
   in
   let rec join des =
     integrate_to (Des.now des);
-    let spec = Engine.Churn.random_user rng (C.view ctrl) churn in
-    (match C.apply ctrl (Engine.Delta.User_join spec) with
+    let spec = Engine.Churn.random_user rng (node.view ()) churn in
+    (match node.apply (Engine.Delta.User_join spec) with
     | Engine.View.Joined slot ->
         incr joins;
-        peak := max !peak (Engine.View.active_count (C.view ctrl));
+        peak := max !peak (Engine.View.active_count (node.view ()));
         schedule_departure slot
     | _ -> ());
     fire_faults ();
@@ -172,21 +153,64 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
       ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
       join
   in
+  shape.start des;
   (* The seed population churns out like everyone else. *)
-  List.iter schedule_departure (Engine.View.active_slots (C.view ctrl));
-  peak := Engine.View.active_count (C.view ctrl);
+  List.iter schedule_departure (Engine.View.active_slots (node.view ()));
+  peak := Engine.View.active_count (node.view ());
   Des.schedule des
     ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
     join;
   Des.run ~until:duration des;
   integrate_to duration;
+  shape.finish ();
   { sim_time = duration;
     utility_time = !utility_time;
     joins = !joins;
     leaves = !leaves;
     peak_population = !peak;
-    final_utility = C.utility ctrl;
-    report = C.report ctrl }
+    final_utility = node.utility ();
+    report = node.report () }
+
+(* Faults against a single controller: shocks are absorbed, a task
+   exception kills the first attempt of a supervised replan. *)
+let fire_on_controller ?supervisor ctrl (e : Engine.Fault.event) =
+  match e.kind with
+  | Engine.Fault.Budget_shock _ | Engine.Fault.Stream_outage _ -> (
+      match Engine.Fault.shock_delta (C.view ctrl) e.kind with
+      | Some d -> ignore (C.absorb_shock ctrl d)
+      | None -> ())
+  | Engine.Fault.Task_exn ->
+      (* The first replan attempt dies inside a pool task; the
+         supervisor retries and the retry succeeds. *)
+      Engine.Counters.note_fault (C.counters ctrl);
+      ignore
+        (supervised_replan ?config:supervisor
+           ~inject:(fun ~attempt ->
+             if attempt = 0 then Engine.Fault.raise_in_pool ())
+           ctrl)
+  | Engine.Fault.Corrupt_log | Engine.Fault.Torn_snapshot ->
+      (* Storage faults are exercised by the WAL/snapshot paths, not
+         the in-memory simulation. *)
+      ()
+  | Engine.Fault.Drop_frame _ | Engine.Fault.Dup_frame _
+  | Engine.Fault.Reorder_frames _ | Engine.Fault.Truncate_frame _
+  | Engine.Fault.Follower_crash _ | Engine.Fault.Primary_crash
+  | Engine.Fault.Heartbeat_partition _ | Engine.Fault.Hold_frames _
+  | Engine.Fault.Link_partition _ | Engine.Fault.Link_reset _
+  | Engine.Fault.Hand_over ->
+      (* Replication faults attack the shipping layer; the
+         Replica.Chaos harness drives them. *)
+      ()
+
+let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
+    ?(epoch = C.Drift 0.05) ?(churn = Engine.Churn.default)
+    ?(faults = ([] : Engine.Fault.schedule)) ?supervisor ?(batch = 1) inst =
+  let ctrl = C.create ~policy:epoch inst in
+  churn_loop ~rng ~duration ~join_rate ~mean_dwell ~churn ~faults ~batch
+    { node = C.node ctrl;
+      fire = fire_on_controller ?supervisor ctrl;
+      start = ignore;
+      finish = ignore }
 
 (* ---------- Replicated run ---------- *)
 
@@ -205,94 +229,30 @@ let run_replicated ~rng ?(duration = 1000.) ?(join_rate = 0.2)
     ?(churn = Engine.Churn.default) ?(replicas = 2) ?heartbeat_every
     ?kill_primary_at ?(faults = ([] : Engine.Fault.schedule)) inst =
   let module G = Replica.Group in
-  let config =
-    match heartbeat_every with
-    | None -> G.default_config
-    | Some hb ->
-        { G.default_config with
-          heartbeat_every = max 1 hb;
-          heartbeat_timeout =
-            max (3 * max 1 hb) G.default_config.heartbeat_timeout }
-  in
+  let config = G.heartbeat_config heartbeat_every in
   let g = G.create ~policy:epoch ~config ~replicas inst in
-  let des = Des.create () in
-  let utility_time = ref 0. in
-  let last = ref 0. in
-  let joins = ref 0 and leaves = ref 0 and peak = ref 0 in
-  let integrate_to now =
-    utility_time :=
-      !utility_time +. (C.utility (G.primary g) *. (now -. !last));
-    last := now
+  (* The kill lands between DES events; detection and promotion finish
+     before anything reads the group again. *)
+  let kill _ =
+    G.kill_primary g;
+    G.ensure_promoted g
   in
-  let applied = ref 0 in
-  let fire_faults () =
-    incr applied;
-    List.iter (Replica.Chaos.fire g) (Engine.Fault.at faults !applied)
+  let rbase =
+    churn_loop ~rng ~duration ~join_rate ~mean_dwell ~churn ~faults ~batch:1
+      { node = G.node g;
+        fire = Replica.Chaos.fire g;
+        start =
+          (fun des ->
+            Option.iter (fun at -> Des.schedule des ~delay:at kill) kill_primary_at);
+        finish = (fun () -> ignore (G.quiesce g)) }
   in
-  (* A kill may have landed between DES events; detection + promotion
-     must finish before the next delta can be applied. *)
-  let group_apply d =
-    Replica.Chaos.ensure_promoted g;
-    let a = G.apply g d in
-    fire_faults ();
-    a
-  in
-  let depart slot des =
-    integrate_to (Des.now des);
-    ignore (group_apply (Engine.Delta.User_leave slot));
-    incr leaves
-  in
-  let schedule_departure slot =
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:(1. /. mean_dwell))
-      (depart slot)
-  in
-  let rec join des =
-    integrate_to (Des.now des);
-    Replica.Chaos.ensure_promoted g;
-    let spec = Engine.Churn.random_user rng (C.view (G.primary g)) churn in
-    (match group_apply (Engine.Delta.User_join spec) with
-    | Engine.View.Joined slot ->
-        incr joins;
-        peak := max !peak (Engine.View.active_count (C.view (G.primary g)));
-        schedule_departure slot
-    | _ -> ());
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-      join
-  in
-  Option.iter
-    (fun at -> Des.schedule des ~delay:at (fun _ -> G.kill_primary g))
-    kill_primary_at;
-  List.iter schedule_departure
-    (Engine.View.active_slots (C.view (G.primary g)));
-  peak := Engine.View.active_count (C.view (G.primary g));
-  Des.schedule des
-    ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-    join;
-  Des.run ~until:duration des;
-  integrate_to duration;
-  ignore (G.quiesce g);
-  let min_acked =
-    List.fold_left
-      (fun acc id ->
-        match G.acked g id with Some a -> min acc a | None -> acc)
-      max_int
-      (G.live_followers g)
-  in
-  { rbase =
-      { sim_time = duration;
-        utility_time = !utility_time;
-        joins = !joins;
-        leaves = !leaves;
-        peak_population = !peak;
-        final_utility = C.utility (G.primary g);
-        report = C.report (G.primary g) };
+  let acked = List.filter_map (G.acked g) (G.live_followers g) in
+  { rbase;
     failovers = G.failovers g;
     final_term = G.term g;
     final_primary = G.primary_id g;
     time_to_promote = G.last_promote_seconds g;
-    min_follower_acked = (if min_acked = max_int then 0 else min_acked);
+    min_follower_acked = (if acked = [] then 0 else List.fold_left min max_int acked);
     replicated_last_seq = G.last_seq g }
 
 let policy ?(replan_every = 16) ?(epoch = C.Manual) inst =
@@ -342,93 +302,3 @@ let policy ?(replan_every = 16) ?(epoch = C.Manual) inst =
     Hashtbl.remove live s
   in
   { Policy.name = "engine"; offer; release }
-
-(* ---------- Sharded run ---------- *)
-
-type sharded_stats = {
-  base : stats;  (** aggregated exactly like {!run}'s [stats] *)
-  shard_counts : int array;
-  moves : int;  (** rebalance moves executed over the whole run *)
-  sharded_utility : float;
-  global_utility : float;  (** single global solve over the mirror *)
-  utility_loss : float;  (** [1 - sharded/global]; 0 when global is 0 *)
-}
-
-let run_sharded ~rng ?(duration = 1000.) ?(join_rate = 0.2)
-    ?(mean_dwell = 400.) ?(epoch = C.Drift 0.05)
-    ?(churn = Engine.Churn.default) ?(shards = 4) ?tags
-    ?(split = Shard.Router.Even) ?(rebalance_every = 100.)
-    ?(rebalance_k = 8) inst =
-  let tags =
-    match tags with
-    | Some t -> t
-    | None -> Array.init shards (fun i -> Printf.sprintf "rack%d" (i mod 2))
-  in
-  let map = Shard.Shard_map.create ~tags () in
-  let router = Shard.Router.create ~policy:epoch ~split ~map inst in
-  let des = Des.create () in
-  let utility_time = ref 0. in
-  let last = ref 0. in
-  let joins = ref 0 and leaves = ref 0 and peak = ref 0 and moves = ref 0 in
-  let mirror () = Shard.Router.mirror router in
-  let integrate_to now =
-    utility_time :=
-      !utility_time +. (Shard.Router.utility router *. (now -. !last));
-    last := now
-  in
-  let depart slot des =
-    integrate_to (Des.now des);
-    ignore (Shard.Router.apply router (Engine.Delta.User_leave slot));
-    incr leaves
-  in
-  let schedule_departure slot =
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:(1. /. mean_dwell))
-      (depart slot)
-  in
-  let rec join des =
-    integrate_to (Des.now des);
-    (* Specs are drawn against the mirror — the global population —
-       so the workload is independent of the shard count. *)
-    let spec = Engine.Churn.random_user rng (mirror ()) churn in
-    (match Shard.Router.apply router (Engine.Delta.User_join spec) with
-    | Engine.View.Joined slot ->
-        incr joins;
-        peak := max !peak (Engine.View.active_count (mirror ()));
-        schedule_departure slot
-    | _ -> ());
-    Des.schedule des
-      ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-      join
-  in
-  let rec rebalance des =
-    integrate_to (Des.now des);
-    moves := !moves + Shard.Router.rebalance router ~k:rebalance_k;
-    if split = Shard.Router.Demand then Shard.Router.resplit_budgets router;
-    Des.schedule des ~delay:rebalance_every rebalance
-  in
-  List.iter schedule_departure (Engine.View.active_slots (mirror ()));
-  peak := Engine.View.active_count (mirror ());
-  Des.schedule des
-    ~delay:(Prelude.Sampling.exponential rng ~rate:join_rate)
-    join;
-  Des.schedule des ~delay:rebalance_every rebalance;
-  Des.run ~until:duration des;
-  integrate_to duration;
-  let sharded_utility = Shard.Router.utility router in
-  let global_utility, _ = Shard.Router.global_scratch router in
-  { base =
-      { sim_time = duration;
-        utility_time = !utility_time;
-        joins = !joins;
-        leaves = !leaves;
-        peak_population = !peak;
-        final_utility = sharded_utility;
-        report = Shard.Router.report router };
-    shard_counts = Shard.Router.counts router;
-    moves = !moves;
-    sharded_utility;
-    global_utility;
-    utility_loss =
-      (if global_utility <= 0. then 0.
-       else Float.max 0. (1. -. (sharded_utility /. global_utility))) }

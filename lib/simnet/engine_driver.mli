@@ -7,7 +7,11 @@
       catalog popularity) and dwell for an exponential time; every
       arrival and departure is fed to an {!Engine.Controller.t} as a
       delta, and plan utility is integrated over time
-      ("viewer-value-time" of the maintained plan).
+      ("viewer-value-time" of the maintained plan). {!run_replicated}
+      is the same churn loop over a {!Replica.Group}: the loop is
+      written once against {!Engine.Node.t}, and the replica group
+      adds only its fault dispatch, the primary kill and the final
+      quiesce.
 
     - {!policy} backs a {!Headend} admission policy with an engine:
       live sessions are pinned into the engine's view, the plan is
@@ -146,43 +150,6 @@ val run_replicated :
     [Task_exn] and the storage kinds are no-ops. The run ends with a
     quiesce, so follower convergence is checkable from
     [min_follower_acked]. *)
-
-(** {1 Sharded run} *)
-
-type sharded_stats = {
-  base : stats;  (** aggregated across shards, shaped like {!run}'s *)
-  shard_counts : int array;  (** final active users per shard *)
-  moves : int;  (** rebalance moves executed over the whole run *)
-  sharded_utility : float;  (** sum of per-shard plan utilities *)
-  global_utility : float;
-      (** a single global solve over the router's mirror — what one
-          unsharded head-end would achieve on the same population *)
-  utility_loss : float;
-      (** [1 - sharded/global], clamped at 0; the price of partitioning
-          the budget across independent shards *)
-}
-
-val run_sharded :
-  rng:Prelude.Rng.t ->
-  ?duration:float ->
-  ?join_rate:float ->
-  ?mean_dwell:float ->
-  ?epoch:Engine.Controller.epoch_policy ->
-  ?churn:Engine.Churn.params ->
-  ?shards:int ->
-  ?tags:string array ->
-  ?split:Shard.Router.budget_split ->
-  ?rebalance_every:float ->
-  ?rebalance_k:int ->
-  Mmd.Instance.t ->
-  sharded_stats
-(** {!run} behind a {!Shard.Router}: the same Poisson churn (specs
-    drawn against the router's global mirror, so the workload is
-    independent of the shard count), plus a rebalance event every
-    [rebalance_every] sim-seconds moving at most [rebalance_k] users
-    ([Demand] routers also resplit budgets there). Defaults: 4 shards
-    on two alternating racks, [Even] split, rebalance every 100 sim-s,
-    k = 8. *)
 
 val policy :
   ?replan_every:int -> ?epoch:Engine.Controller.epoch_policy ->
