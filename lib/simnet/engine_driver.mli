@@ -141,9 +141,9 @@ val run_replicated :
 (** {!run} behind a {!Replica.Group} of [replicas] followers (default
     2): every churn delta applies on the primary and ships to the
     followers. [kill_primary_at] (sim seconds) stops the primary cold
-    mid-run; the heartbeat failure detector then promotes the
-    most-caught-up follower before the next delta is applied, and the
-    run continues on the new primary. [faults] fires through
+    mid-run; idle ticks then run the heartbeat failure detector until
+    it promotes the most-caught-up follower, at the kill's sim time,
+    and the run continues on the new primary. [faults] fires through
     {!Replica.Chaos.fire} at delta boundaries, so the replication
     fault kinds (frame drop/dup/reorder/truncate, crashes, heartbeat
     partitions) are live here, along with budget shocks and outages;
