@@ -1,6 +1,7 @@
 (* Pins on the two replay loops: the mmd_engine CLI's printed output in
-   single, batched, sharded, replicated and WAL-dir crash/resume modes,
-   and the deterministic fields of the discrete-event driver's stats.
+   single, batched, sharded, replicated, WAL-dir crash/resume and
+   snapshot crash/resume modes, and the deterministic fields of the
+   discrete-event driver's stats.
    Both are compared against committed files under golden/, so a
    rewrite of either loop has to reproduce them byte for byte.
 
@@ -119,12 +120,27 @@ let cli_case name runs () =
       Out_channel.with_open_bin inst (fun oc ->
           output_string oc (read_file (golden "engine.mmd")));
       let text =
-        String.concat ""
-          (List.map (fun args -> transcript ~dir ("TMP/inst.mmd" :: args)) runs)
+        String.concat "" (List.map (fun args -> transcript ~dir args) runs)
       in
       check_golden name text)
 
-let gen = [ "--gen-deltas"; "400"; "--seed"; "7" ]
+let inst = "TMP/inst.mmd"
+let gen = [ inst; "--gen-deltas"; "400"; "--seed"; "7" ]
+
+(* Snapshot crash and resume over a WAL, so the resumed runs skip what
+   the snapshot covers: the uninterrupted run that writes the WAL, a
+   crash at 120 with snapshots every 50 (the last one covers 100), and
+   the resume from the snapshot as FILE, and through --snapshot-in at
+   plain and at --batch 64. *)
+let snapshot_runs =
+  let wal = [ "-d"; "TMP/churn.wal" ] in
+  [ gen @ [ "--wal-out"; "TMP/churn.wal" ];
+    (inst :: wal)
+    @ [ "--snapshot-out"; "TMP/s.eng"; "--snapshot-every"; "50";
+        "--crash-after"; "120" ];
+    "TMP/s.eng" :: wal;
+    (inst :: wal) @ [ "--snapshot-in"; "TMP/s.eng" ];
+    (inst :: wal) @ [ "--snapshot-in"; "TMP/s.eng"; "--batch"; "64" ] ]
 
 let cli_cases =
   [ ("engine_plain.txt", [ gen ]);
@@ -136,8 +152,9 @@ let cli_cases =
       [ gen
         @ [ "--deltas-out"; "TMP/churn.log"; "--wal-dir"; "TMP/wd";
             "--checkpoint-every"; "100"; "--crash-after"; "250" ];
-        [ "-d"; "TMP/churn.log"; "--seed"; "7"; "--wal-dir"; "TMP/wd";
-          "--checkpoint-every"; "100" ] ] ) ]
+        [ inst; "-d"; "TMP/churn.log"; "--seed"; "7"; "--wal-dir"; "TMP/wd";
+          "--checkpoint-every"; "100" ] ] );
+    ("engine_snapshot.txt", snapshot_runs) ]
 
 (* ---------- discrete-event driver ---------- *)
 
