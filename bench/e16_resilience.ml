@@ -169,14 +169,13 @@ let run () =
 
   (* ----- crash-recovery latency: a length sweep -----
 
-     The old single-point measurement (full snapshot + monolithic WAL
-     tail, 4000 deltas) LOST to cold replay — the dense snapshot parse
-     cost more than the applies it saved. This sweep measures, at
-     every log length, all three recovery paths from cold disk state
-     (parse included): full WAL replay, full-snapshot + store tail,
-     and checkpoint-chain + store tail — and checks that the
-     {!Engine.Recovery} chooser picks a path that actually beats
-     replay, with a bit-identical result.
+     This sweep measures, at every log length, all three recovery
+     paths from cold disk state (parse included): full WAL replay,
+     snapshot + store tail, and checkpoint-chain + store tail — and
+     checks that the {!Engine.Recovery} chooser picks a path that
+     actually beats replay, with a bit-identical result. The snapshot
+     and the chain are the same format: a snapshot is a chain of one
+     full increment, the chain a full increment and its diffs.
 
      The crashing run is the production shape: WAL-first appends into
      a segmented {!Engine.Wal_store}, a checkpoint-chain increment and
@@ -282,7 +281,7 @@ let run () =
         let chain_restored, chain_seconds =
           timed_median (fun () ->
               let r =
-                match K.recover ~instance:inst ~path:chain_path with
+                match K.recover ~path:chain_path with
                 | Ok r -> r
                 | Error msg -> failwith msg
               in
@@ -347,6 +346,7 @@ let run () =
     "{\n\
     \  \"experiment\": \"e16_resilience\",\n\
     \  \"smoke\": %b,\n\
+    \  \"host\": %s,\n\
     \  \"instance\": { \"num_streams\": %d, \"num_users\": %d, \"m\": 2, \
      \"mc\": 1 },\n\
     \  \"deltas\": %d,\n\
@@ -356,7 +356,7 @@ let run () =
     \  \"recovery_all_gt_1\": %b,\n\
     \  \"bit_identical\": %b\n\
      }\n"
-    smoke num_streams num_users deltas replicas
+    smoke (host_json ()) num_streams num_users deltas replicas
     (String.concat ",\n"
        (List.map
           (fun (count, ratio, recov, evict, mean_ttr, max_ttr, fb) ->

@@ -161,7 +161,7 @@ let make_tests () =
       Test.make ~name:"chain-recover/incremental,n=60"
         (Staged.stage (fun () ->
              match
-               Engine.Checkpoint.recover ~instance:rinst ~path:chain_path
+               Engine.Checkpoint.recover ~path:chain_path
              with
              | Ok r -> ignore (Sys.opaque_identity r.Engine.Checkpoint.ctrl)
              | Error msg -> failwith msg)) ]

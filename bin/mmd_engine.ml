@@ -384,7 +384,11 @@ type event =
   | At of int * ((int * Engine.Delta.t) list -> unit)
   | Every of int * (unit -> unit)
 
-type progress = { mutable applied : int; mutable last_seq : int }
+type progress = {
+  mutable applied : int;
+  mutable last_seq : int;
+  mutable chunk : (int * Engine.Delta.t) list;  (** the chunk being applied *)
+}
 
 (* Feed [records] to [node] in chunks of at most [batch], never letting
    a chunk cross an event's boundary. With batch = 1 this is the
@@ -411,6 +415,7 @@ let replay ~batch ~events (node : Engine.Node.t) p records =
         List.iter
           (function At (n, f) when n = p.applied -> f chunk | _ -> ())
           events;
+        p.chunk <- chunk;
         node.apply_batch (List.map snd chunk);
         p.applied <- p.applied + List.length chunk;
         List.iter (fun (seq, _) -> p.last_seq <- seq) chunk;
@@ -432,18 +437,26 @@ type mode = {
   shard_count : int option;  (** the "applied" line names the shards *)
   summary : unit -> unit;  (** before the counter report *)
   epilogue : unit -> unit;  (** after the counter report *)
-  partial : (progress -> unit) option;
-      (** what to print when the replay dies mid-log; [None] re-raises *)
+  partial : ((unit -> int) * (progress -> unit)) option;
+      (** when the replay dies mid-log: the node's lifetime delta count
+          and what to print; [None] re-raises *)
 }
 
 let run_mode o m records =
-  let p = { applied = 0; last_seq = m.already } in
+  let p = { applied = 0; last_seq = m.already; chunk = [] } in
   let t0 = Obs.Clock.now () in
   (try replay ~batch:o.batch ~events:m.events m.node p records
    with (Failure msg | Invalid_argument msg) as e -> (
      match m.partial with
      | None -> raise e
-     | Some partial ->
+     | Some (lifetime, partial) ->
+         (* A batch that died part-way applied a prefix of its chunk;
+            count it, so every batch size reports the same position. *)
+         let settled = lifetime () - m.already - p.applied in
+         List.iteri
+           (fun i (seq, _) -> if i < settled then p.last_seq <- seq)
+           p.chunk;
+         p.applied <- p.applied + settled;
          (* Partial output before dying: the operator can resume from
             the printed seq with a corrected log. *)
          Format.printf "aborted mid-log: %s@." msg;
@@ -664,7 +677,7 @@ let recover_wal_dir o ~policy ~dir inst =
         let ctrl, covered =
           match est.Engine.Recovery.choice with
           | Engine.Recovery.Chain_tail -> (
-              match Engine.Checkpoint.recover ~instance:inst ~path:chain with
+              match Engine.Checkpoint.recover ~path:chain with
               | Ok rc ->
                   if rc.Engine.Checkpoint.torn then
                     Format.printf
@@ -799,7 +812,7 @@ let single_mode o ~policy ~text ~wal_writer =
       shard_count = None;
       summary = (fun () -> plan_summary o ctrl);
       epilogue = (fun () -> plan_epilogue o ctrl);
-      partial = Some partial },
+      partial = Some ((fun () -> C.deltas_applied ctrl), partial) },
     records )
 
 (* ---------- Replicated mode ---------- *)

@@ -1,44 +1,41 @@
-(* Incremental snapshots: an append-only chain of delta-encoded
-   checkpoint increments.
+(* Engine state on disk: an append-only chain of CRC-framed increments,
+   the one encoding of a controller's state.
 
-   A full Snapshot v2 is dominated by the dense materialized instance
-   — num_slots x num_streams utility and load matrices — which is why
-   BENCH_resilience historically showed snapshot recovery LOSING to
-   full WAL replay (0.59x at 4k deltas): parsing the dense matrices
-   costs more than replaying the log. A checkpoint increment never
-   writes the dense view. Instead it records
+   A {e full} increment carries the whole state: a catalog line (stream
+   count, m, mc, instance name), every active slot's spec, every cost
+   row, the budget and the exact free-list order — rebuilt on top of a
+   catalog-only view (zero users) — plus the controller/planner
+   section. A {e diff} increment carries only what changed since its
+   parent: the final spec of every slot that churned in the window, the
+   slots freed, changed cost rows, the budget when it changed and the
+   free order, plus the same controller/planner section, which is small
+   and always written whole: the plan (delivered sets), the admitted
+   set, the path-dependent float accumulators in lossless %h hex,
+   counters, histograms and the epoch phase.
 
-   - the view {e diff} since the parent increment: the final spec of
-     every slot that churned in the window, the slots freed, changed
-     cost rows, the budget when it changed, and the exact free-list
-     order — against the initial instance this chain of diffs rebuilds
-     the live view exactly;
-   - the {e full} controller/planner state, which is small: the plan
-     (delivered sets), the admitted set, the path-dependent float
-     accumulators in hex (same encodings as Snapshot v2), counters,
-     histograms and the epoch phase.
+   A chain starts with a full increment; a snapshot is a chain of
+   exactly one. Recovery starts from the last full increment, applies
+   the diffs after it in order and installs the last increment's
+   controller state — no replan, no planner bookkeeping per record. The
+   WAL tail beyond the last increment replays through the ordinary
+   path, so the result is bit-identical to a full replay; segments the
+   chain covers can be deleted by [Wal_store.compact].
 
-   Recovery is [View.of_instance] on the initial instance (an
-   in-memory copy, free), the view diffs applied in order, and the
-   last increment's controller state installed — no dense parse, no
-   replan, no planner bookkeeping per record. The WAL tail beyond the
-   last increment replays through the ordinary path, so the result is
-   bit-identical to a full replay; segments the chain covers can be
-   deleted by [Wal_store.compact].
+   File format (all text):
 
-   File format (all text, floats in lossless %h hex):
-
-     mmd-engine-checkpoint v1
-     I <covers> <body-bytes> <crc32-hex>
+     mmd-engine-state v1
+     F <covers> <body-bytes> <crc32-hex>     a full increment
      <body>
-     I ...
+     I <covers> <body-bytes> <crc32-hex>     a diff increment
+     <body>
+     ...
 
    Each increment is framed independently; a torn or corrupt increment
    invalidates itself and everything after it (later diffs build on
    it), and recovery falls back to the longest valid prefix — the WAL
    tail just gets longer, exactly like a missed snapshot. *)
 
-let magic = "mmd-engine-checkpoint v1"
+let magic = "mmd-engine-state v1"
 
 exception Parse_error of string
 
@@ -57,59 +54,86 @@ let float_tok what tok =
 (* ------------------------------------------------------------------ *)
 (* Frames *)
 
-type frame = { covers : int; body : string }
+type frame = {
+  full : bool;
+  covers : int;
+  body : string;
+  stop : int;  (** offset just past the frame *)
+}
 
-(* Split the chain into CRC-validated frames. Returns the valid prefix
-   and whether a torn/corrupt suffix was discarded. *)
+let header_line ~full ~covers ~blen crc =
+  Printf.sprintf "%s %d %d %s" (if full then "F" else "I") covers blen
+    (Prelude.Crc32.to_hex crc)
+
+(* Split the chain into CRC-validated frames: the valid prefix, and why
+   the first bad frame (if any) failed — everything from it on is
+   discarded. *)
 let scan_frames text =
   let len = String.length text in
-  let line_end pos =
-    match String.index_from_opt text pos '\n' with
-    | Some i -> i
-    | None -> len
-  in
-  let first_nl = line_end 0 in
-  if first_nl >= len || String.sub text 0 first_nl <> magic then
-    Error "not a checkpoint chain (bad magic)"
+  if not (String.starts_with ~prefix:(magic ^ "\n") text) then
+    Error "not an engine state file (bad magic)"
   else begin
-    let frames = ref [] and torn = ref false in
-    let pos = ref (first_nl + 1) in
-    (try
-       while !pos < len do
-         let hdr_end = line_end !pos in
-         let hdr = String.sub text !pos (hdr_end - !pos) in
-         if String.trim hdr = "" then pos := hdr_end + 1
-         else begin
-           (match
-              String.split_on_char ' ' hdr |> List.filter (fun s -> s <> "")
-            with
-           | [ "I"; covers; blen; crc ] ->
-               let covers =
-                 match int_of_string_opt covers with
-                 | Some c -> c
-                 | None -> raise Exit
-               in
-               let blen =
-                 match int_of_string_opt blen with
-                 | Some l when l >= 0 -> l
-                 | _ -> raise Exit
-               in
-               let stored =
-                 match Prelude.Crc32.of_hex crc with
-                 | Some c -> c
-                 | None -> raise Exit
-               in
-               let body_start = hdr_end + 1 in
-               if body_start + blen > len then raise Exit;
-               let body = String.sub text body_start blen in
-               if Prelude.Crc32.digest body <> stored then raise Exit;
-               frames := { covers; body } :: !frames;
-               pos := body_start + blen
-           | _ -> raise Exit)
-         end
-       done
-     with Exit -> torn := true);
-    Ok (List.rev !frames, !torn)
+    let frames = ref [] in
+    let rec go pos =
+      if pos >= len then None
+      else
+        match String.index_from_opt text pos '\n' with
+        | None ->
+            Some (Printf.sprintf "truncated increment header at byte %d" pos)
+        | Some hdr_end -> (
+            (* Only the canonical rendering is a header, so no changed
+               byte in it goes unnoticed. *)
+            let line = String.sub text pos (hdr_end - pos) in
+            let header =
+              match String.split_on_char ' ' line with
+              | [ kind; covers; blen; crc ] -> (
+                  match
+                    ( kind,
+                      int_of_string_opt covers,
+                      int_of_string_opt blen,
+                      Prelude.Crc32.of_hex crc )
+                  with
+                  | ("F" | "I"), Some covers, Some blen, Some crc
+                    when covers >= 0 && blen >= 0
+                         && line
+                            = header_line ~full:(kind = "F") ~covers ~blen crc
+                    ->
+                      Some (kind = "F", covers, blen, crc)
+                  | _ -> None)
+              | _ -> None
+            in
+            match header with
+            | None -> Some (Printf.sprintf "bad increment header at byte %d" pos)
+            | Some (full, covers, blen, stored) ->
+                let body_start = hdr_end + 1 in
+                let avail = len - body_start in
+                if avail < blen then
+                  Some
+                    (Printf.sprintf
+                       "truncated increment at byte %d (body %d of %d bytes) — \
+                        torn write"
+                       pos avail blen)
+                else
+                  let actual =
+                    Prelude.Crc32.digest_sub text ~pos:body_start ~len:blen
+                  in
+                  if actual <> stored then
+                    Some
+                      (Printf.sprintf
+                         "increment checksum mismatch at byte %d (stored %s, \
+                          actual %s)"
+                         pos
+                         (Prelude.Crc32.to_hex stored)
+                         (Prelude.Crc32.to_hex actual))
+                  else begin
+                    let stop = body_start + blen in
+                    let body = String.sub text body_start blen in
+                    frames := { full; covers; body; stop } :: !frames;
+                    go stop
+                  end)
+    in
+    let damage = go (String.length magic + 1) in
+    Ok (List.rev !frames, damage)
   end
 
 let read_all path =
@@ -134,79 +158,28 @@ let peek path =
           Some (String.length text, last.covers, List.length frames))
 
 (* ------------------------------------------------------------------ *)
-(* Writer *)
+(* Writing *)
 
-type writer = {
-  path : string;
-  oc : out_channel;
-  dirty_slots : (int, unit) Hashtbl.t;
-  dirty_costs : (int, unit) Hashtbl.t;
-  mutable dirty_budget : bool;
+(* What the next increment must carry; [all] makes it a full one. *)
+type dirty = {
+  slots : (int, unit) Hashtbl.t;
+  costs : (int, unit) Hashtbl.t;
+  mutable budget : bool;
   mutable all_costs : bool;
-  mutable covered : int;
-  mutable increments : int;
+  all : bool;
 }
 
-let dirty_everything w (ctrl : Controller.t) =
-  let view = Controller.view ctrl in
-  for u = 0 to View.num_slots view - 1 do
-    Hashtbl.replace w.dirty_slots u ()
-  done;
-  w.all_costs <- true;
-  w.dirty_budget <- true
+let clean ~all =
+  { slots = Hashtbl.create 64;
+    costs = Hashtbl.create 16;
+    budget = false;
+    all_costs = false;
+    all }
 
-let create_writer ~path ctrl =
-  let fresh = not (Sys.file_exists path) in
-  let prior = if fresh then None else peek path in
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-      path
-  in
-  if fresh then begin
-    output_string oc magic;
-    output_char oc '\n';
-    flush oc
-  end;
-  let prior_covered, prior_increments =
-    match prior with Some (_, c, n) -> (c, n) | None -> (0, 0)
-  in
-  let w =
-    { path;
-      oc;
-      dirty_slots = Hashtbl.create 64;
-      dirty_costs = Hashtbl.create 16;
-      dirty_budget = false;
-      all_costs = false;
-      covered = prior_covered;
-      increments = prior_increments }
-  in
-  (* The chain's implicit parent is its last valid increment — or, for
-     a fresh file, the initial instance at zero deltas. Whenever the
-     controller is anywhere else (resumed past the last increment, or
-     a fresh chain for a warm controller), the first increment must
-     carry the whole distance: a dirty-everything increment records
-     every active slot, every inactive slot as freed, all costs, the
-     budget and the full free order, so it restores correctly on top
-     of ANY parent state. *)
-  if Controller.deltas_applied ctrl <> prior_covered || (fresh && prior_covered > 0)
-  then dirty_everything w ctrl;
-  w
+let sorted_keys tbl =
+  Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
-let note w (applied : View.applied) =
-  match applied with
-  | View.Joined u | View.Left u -> Hashtbl.replace w.dirty_slots u ()
-  | View.Cost_changed s -> Hashtbl.replace w.dirty_costs s ()
-  | View.Budgets_resized ->
-      (* A resize clamps every cost row, so they are all dirty. *)
-      w.dirty_budget <- true;
-      w.all_costs <- true
-
-let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
-
-let m_checkpoint_seconds = lazy (Obs.Metrics.histogram "checkpoint_write_seconds")
-let m_checkpoint_bytes = lazy (Obs.Metrics.counter "checkpoint_bytes_total")
-
-let body_of w ctrl =
+let body_of d ctrl =
   let view = Controller.view ctrl in
   let planner = Controller.planner ctrl in
   let mc = View.mc view and m = View.m view in
@@ -215,50 +188,47 @@ let body_of w ctrl =
   let floats a =
     String.concat "" (List.map (Printf.sprintf " %h") (Array.to_list a))
   in
+  let ints l = String.concat "" (List.map (Printf.sprintf " %d") l) in
+  if d.all then
+    addf "catalog %d %d %d %s\n" (View.num_streams view) m mc (View.name view);
   addf "nslots %d\n" (View.num_slots view);
   addf "policy %s\n" (Controller.policy_to_string (Controller.policy ctrl));
   (match Controller.pinned ctrl with
   | [] -> ()
-  | pinned ->
-      addf "pinned%s\n"
-        (String.concat "" (List.map (Printf.sprintf " %d") pinned)));
-  if w.dirty_budget then
-    addf "budget%s\n"
-      (floats (Array.init m (fun i -> View.budget view i)));
+  | pinned -> addf "pinned%s\n" (ints pinned));
+  if d.all || d.budget then addf "budget%s\n" (floats (View.budgets view));
   let cost_rows =
-    if w.all_costs then List.init (View.num_streams view) Fun.id
-    else sorted_keys w.dirty_costs
+    if d.all || d.all_costs then List.init (View.num_streams view) Fun.id
+    else sorted_keys d.costs
   in
   List.iter
-    (fun s ->
-      addf "cost %d%s\n" s
-        (floats (Array.init m (fun i -> View.server_cost view s i))))
+    (fun s -> addf "cost %d%s\n" s (floats (View.cost_row view s)))
     cost_rows;
-  let dirty = sorted_keys w.dirty_slots in
-  let freed = List.filter (fun u -> not (View.is_active view u)) dirty in
-  (match freed with
-  | [] -> ()
-  | _ ->
-      addf "freed%s\n" (String.concat "" (List.map (Printf.sprintf " %d") freed)));
+  let slots =
+    if d.all then View.active_slots view
+    else begin
+      let dirty = sorted_keys d.slots in
+      (match List.filter (fun u -> not (View.is_active view u)) dirty with
+      | [] -> ()
+      | freed -> addf "freed%s\n" (ints freed));
+      List.filter (View.is_active view) dirty
+    end
+  in
   List.iter
     (fun u ->
-      if View.is_active view u then begin
-        let spec = View.user_spec view u in
-        addf "slot %d %h%s %d" u spec.Delta.utility_cap
-          (floats spec.Delta.capacity)
-          (List.length spec.Delta.interests);
-        List.iter
-          (fun (s, wu, loads) ->
-            if Array.length loads <> mc then
-              invalid_arg "Checkpoint: spec loads arity <> mc";
-            addf " %d %h%s" s wu (floats loads))
-          spec.Delta.interests;
-        addf "\n"
-      end)
-    dirty;
-  addf "free%s\n"
-    (String.concat ""
-       (List.map (Printf.sprintf " %d") (View.free_list view)));
+      let spec = View.user_spec view u in
+      addf "slot %d %h%s %d" u spec.Delta.utility_cap
+        (floats spec.Delta.capacity)
+        (List.length spec.Delta.interests);
+      List.iter
+        (fun (s, wu, loads) ->
+          if Array.length loads <> mc then
+            invalid_arg "Checkpoint: spec loads arity <> mc";
+          addf " %d %h%s" s wu (floats loads))
+        spec.Delta.interests;
+      addf "\n")
+    slots;
+  addf "free%s\n" (ints (View.free_list view));
   let j, l, c, b, r, e = Counters.fields (Controller.counters ctrl) in
   let ft, q, rec_, fb = Counters.resilience_fields (Controller.counters ctrl) in
   addf "counters %d %d %d %d %d %d %d %d %d %d %d %d %d\n" j l c b r e
@@ -274,38 +244,96 @@ let body_of w ctrl =
     addf "hist replan %s\n" (Obs.Hist.encode (Counters.replan_hist cs));
   if Obs.Hist.count (Counters.recovery_hist cs) > 0 then
     addf "hist recovery %s\n" (Obs.Hist.encode (Counters.recovery_hist cs));
+  (* [Planner.force] rebuilds these in plan order, which can round
+     differently from the live incremental accumulation — persisting
+     the exact bits keeps recovery bit-identical, utility included. *)
   let ptotal, pused, pslots = Planner.float_state planner in
   addf "pstate %h%s\n" ptotal (floats pused);
   Array.iteri
     (fun u (du, cap, cu) -> addf "pslot %d %h %h%s\n" u du cap (floats cu))
     pslots;
+  (* The transmitted set: the plan only names streams delivered to at
+     least one slot, so a stream whose recipients all left — still
+     holding budget, still free for later joiners — would be dropped. *)
   (match Planner.admitted planner with
   | [] -> ()
-  | streams ->
-      addf "admitted%s\n"
-        (String.concat "" (List.map (Printf.sprintf " %d") streams)));
+  | streams -> addf "admitted%s\n" (ints streams));
   addf "%%%%plan\n%s" (Mmd.Io.assignment_to_string (Controller.plan ctrl));
   Buffer.contents buf
+
+let frame d ctrl =
+  let body = body_of d ctrl in
+  header_line ~full:d.all
+    ~covers:(Controller.deltas_applied ctrl)
+    ~blen:(String.length body) (Prelude.Crc32.digest body)
+  ^ "\n" ^ body
+
+let to_string ctrl = magic ^ "\n" ^ frame (clean ~all:true) ctrl
+
+type writer = {
+  path : string;
+  oc : out_channel;
+  mutable dirty : dirty;
+  mutable covered : int;
+  mutable increments : int;
+}
+
+let create_writer ~path ctrl =
+  (* Append after the valid prefix only: frames written after a torn
+     or corrupt one would never be read back. A file that is not a
+     chain at all starts over. *)
+  let valid_end, prior =
+    match Option.map scan_frames (read_all path) with
+    | None | Some (Error _) -> (0, None)
+    | Some (Ok (frames, _)) -> (
+        match List.rev frames with
+        | [] -> (String.length magic + 1, None)
+        | last :: _ -> (last.stop, Some (last.covers, List.length frames)))
+  in
+  if Sys.file_exists path then Unix.truncate path valid_end;
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
+      path
+  in
+  if valid_end = 0 then begin
+    output_string oc magic;
+    output_char oc '\n';
+    flush oc
+  end;
+  (* The chain's parent state is its last valid increment. A fresh
+     chain, or a controller anywhere else (resumed past the last
+     increment), starts with a full increment. *)
+  let full =
+    match prior with
+    | None -> true
+    | Some (covered, _) -> Controller.deltas_applied ctrl <> covered
+  in
+  let covered, increments = Option.value prior ~default:(0, 0) in
+  { path; oc; dirty = clean ~all:full; covered; increments }
+
+let note w (applied : View.applied) =
+  let d = w.dirty in
+  match applied with
+  | View.Joined u | View.Left u -> Hashtbl.replace d.slots u ()
+  | View.Cost_changed s -> Hashtbl.replace d.costs s ()
+  | View.Budgets_resized ->
+      (* A resize clamps every cost row, so they are all dirty. *)
+      d.budget <- true;
+      d.all_costs <- true
+
+let m_checkpoint_seconds = lazy (Obs.Metrics.histogram "checkpoint_write_seconds")
+let m_checkpoint_bytes = lazy (Obs.Metrics.counter "checkpoint_bytes_total")
 
 let checkpoint w ctrl =
   Obs.Span.with_ ~name:"checkpoint.write" (fun () ->
       let t0 = Obs.Clock.now () in
-      let body = body_of w ctrl in
-      Printf.fprintf w.oc "I %d %d %s\n"
-        (Controller.deltas_applied ctrl)
-        (String.length body)
-        (Prelude.Crc32.to_hex (Prelude.Crc32.digest body));
-      output_string w.oc body;
+      let text = frame w.dirty ctrl in
+      output_string w.oc text;
       flush w.oc;
-      Hashtbl.reset w.dirty_slots;
-      Hashtbl.reset w.dirty_costs;
-      w.dirty_budget <- false;
-      w.all_costs <- false;
+      w.dirty <- clean ~all:false;
       w.covered <- Controller.deltas_applied ctrl;
       w.increments <- w.increments + 1;
-      Obs.Metrics.inc
-        ~n:(String.length body)
-        (Lazy.force m_checkpoint_bytes);
+      Obs.Metrics.inc ~n:(String.length text) (Lazy.force m_checkpoint_bytes);
       Obs.Hist.observe
         (Lazy.force m_checkpoint_seconds)
         (Obs.Clock.elapsed_since t0))
@@ -319,7 +347,7 @@ let writer_path w = w.path
 (* Reading *)
 
 type parsed = {
-  p_covers : int;
+  p_catalog : (int * int * int * string) option;
   p_nslots : int;
   p_policy : Controller.epoch_policy;
   p_pinned : int list;
@@ -328,24 +356,24 @@ type parsed = {
   p_freed : int list;
   p_slots : (int * Delta.user_spec) list;
   p_free : int list;
-  p_counters : (int * int * int * int * int * int * int * int * int) option;
-  p_resilience : (int * int * int * int) option;
-  p_epoch : (int * float) option;
+  p_counters : int array;
+  p_epoch : int * float;
   p_replan_hist : Obs.Hist.t option;
   p_recovery_hist : Obs.Hist.t option;
-  p_pstate : (float * float array) option;
+  p_pstate : float * float array;
   p_pslots : (int * (float * float * float array)) list;
   p_admitted : int list option;
   p_plan : string;
 }
 
+let floats_of what toks = Array.of_list (List.map (float_tok what) toks)
+
 let parse_slot_line ~mc = function
   | u :: ucap :: rest ->
       let u = int_tok "slot id" u in
       let ucap = float_tok "slot utility cap" ucap in
-      if List.length rest < mc + 1 then fail "short slot line for %d" u;
       let rec split n acc rest =
-        if n = 0 then (List.rev acc, rest)
+        if n = 0 then (Array.of_list (List.rev acc), rest)
         else
           match rest with
           | [] -> fail "short slot line for %d" u
@@ -367,17 +395,18 @@ let parse_slot_line ~mc = function
               let s = int_tok "interest stream" s in
               let wu = float_tok "interest utility" wu in
               let loads, tl = split mc [] tl in
-              interests (n - 1) ((s, wu, Array.of_list loads) :: acc) tl
+              interests (n - 1) ((s, wu, loads) :: acc) tl
           | _ -> fail "short slot line for %d" u
       in
-      let ints = interests k [] rest in
-      ( u,
-        { Delta.utility_cap = ucap;
-          capacity = Array.of_list caps;
-          interests = ints } )
+      let interests = interests k [] rest in
+      (u, { Delta.utility_cap = ucap; capacity = caps; interests })
   | _ -> fail "bad slot line"
 
-let parse_frame ~mc { covers; body } =
+(* Parse one increment. [dims] is the (m, mc) of the view it applies
+   to — [None] for the increment that starts the rebuild, which must
+   be full and brings its own. Every array is checked against the
+   dimensions before anything is allocated from them. *)
+let parse_frame ~dims { full; covers; body; _ } =
   let lines = String.split_on_char '\n' body in
   let header, plan_lines =
     let rec split acc = function
@@ -387,100 +416,134 @@ let parse_frame ~mc { covers; body } =
     in
     split [] lines
   in
-  let nslots = ref None in
-  let policy = ref (Controller.Every 64) in
-  let pinned = ref [] in
-  let budget = ref None in
-  let costs = ref [] in
-  let freed = ref [] in
-  let slots = ref [] in
-  let free_order = ref [] in
-  let counters = ref None in
-  let resilience = ref None in
-  let epoch = ref None in
-  let replan_hist = ref None in
-  let recovery_hist = ref None in
-  let pstate = ref None in
-  let pslots = ref [] in
-  let admitted = ref None in
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match
-          String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-        with
-        | [ "nslots"; n ] -> nslots := Some (int_tok "nslots" n)
-        | "policy" :: spec -> (
-            match Controller.policy_of_string (String.concat ":" spec) with
-            | Ok p -> policy := p
-            | Error msg -> fail "%s" msg)
-        | "pinned" :: ids -> pinned := List.map (int_tok "pinned id") ids
-        | "budget" :: bs ->
-            budget := Some (Array.of_list (List.map (float_tok "budget") bs))
-        | "cost" :: s :: cs ->
-            costs :=
-              ( int_tok "cost stream" s,
-                Array.of_list (List.map (float_tok "cost") cs) )
-              :: !costs
-        | "freed" :: ids -> freed := List.map (int_tok "freed slot") ids
-        | "slot" :: rest -> slots := parse_slot_line ~mc rest :: !slots
-        | "free" :: ids -> free_order := List.map (int_tok "free slot") ids
-        | "counters" :: fields -> (
-            match List.map (int_tok "counter") fields with
-            | [ j; l; c; b; r; e; evals; eager; deltas; ft; q; rec_; fb ] ->
-                counters := Some (j, l, c, b, r, e, evals, eager, deltas);
-                resilience := Some (ft, q, rec_, fb)
-            | _ -> fail "counters expects 13 fields")
-        | [ "epoch"; since; util ] ->
-            epoch :=
-              Some (int_tok "epoch phase" since, float_tok "epoch utility" util)
-        | "hist" :: which :: encoded -> (
-            match Obs.Hist.decode (String.concat " " encoded) with
-            | Error msg -> fail "bad %s histogram: %s" which msg
-            | Ok h -> (
-                match which with
-                | "replan" -> replan_hist := Some h
-                | "recovery" -> recovery_hist := Some h
-                | other -> fail "unknown histogram %S" other))
-        | "pstate" :: total :: used ->
-            pstate :=
-              Some
-                ( float_tok "planner total" total,
-                  Array.of_list (List.map (float_tok "planner used") used) )
-        | "pslot" :: u :: du :: cap :: cus ->
-            pslots :=
-              ( int_tok "planner slot" u,
-                ( float_tok "slot delivered utility" du,
-                  float_tok "slot capped utility" cap,
-                  Array.of_list (List.map (float_tok "slot capacity used") cus)
-                ) )
-              :: !pslots
-        | "admitted" :: ids ->
-            admitted := Some (List.map (int_tok "admitted stream") ids)
-        | kw :: _ -> fail "unknown increment keyword %S" kw
-        | [] -> ())
+  let tokens line =
+    String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
+  in
+  let catalog =
+    if not full then None
+    else
+      match List.map tokens header with
+      | ("catalog" :: ns :: m :: mc :: name) :: _ ->
+          let ns = int_tok "stream count" ns
+          and m = int_tok "budget count" m
+          and mc = int_tok "capacity count" mc in
+          if ns < 0 || m < 0 || mc < 0 then fail "negative catalog dimension";
+          Some (ns, m, mc, String.concat " " name)
+      | _ -> fail "full increment missing its catalog line"
+  in
+  let m, mc =
+    match (catalog, dims) with
+    | Some (_, m, mc, _), _ -> (m, mc)
+    | None, Some dims -> dims
+    | None, None -> fail "chain does not start with a full increment"
+  in
+  let arity what n a =
+    if Array.length a <> n then
+      fail "%s has %d values, expected %d" what (Array.length a) n;
+    a
+  in
+  let nslots = ref None and policy = ref None and pinned = ref [] in
+  let budget = ref None and costs = ref [] and freed = ref [] in
+  let slots = ref [] and free_order = ref None and counters = ref None in
+  let epoch = ref None and replan_hist = ref None and recovery_hist = ref None in
+  let pstate = ref None and pslots = ref [] and admitted = ref None in
+  List.iteri
+    (fun i line ->
+      match tokens line with
+      | "catalog" :: _ when i = 0 && full -> ()
+      | [ "nslots"; n ] -> nslots := Some (int_tok "nslots" n)
+      | "policy" :: spec -> (
+          match Controller.policy_of_string (String.concat ":" spec) with
+          | Ok p -> policy := Some p
+          | Error msg -> fail "%s" msg)
+      | "pinned" :: ids -> pinned := List.map (int_tok "pinned id") ids
+      | "budget" :: bs ->
+          budget := Some (arity "budget" m (floats_of "budget" bs))
+      | "cost" :: s :: cs ->
+          costs :=
+            (int_tok "cost stream" s, arity "cost row" m (floats_of "cost" cs))
+            :: !costs
+      | "freed" :: ids -> freed := List.map (int_tok "freed slot") ids
+      | "slot" :: rest -> slots := parse_slot_line ~mc rest :: !slots
+      | "free" :: ids -> free_order := Some (List.map (int_tok "free slot") ids)
+      | "counters" :: fields ->
+          let fields = Array.of_list (List.map (int_tok "counter") fields) in
+          counters := Some (arity "counters" 13 fields)
+      | [ "epoch"; since; util ] ->
+          epoch :=
+            Some (int_tok "epoch phase" since, float_tok "epoch utility" util)
+      | "hist" :: which :: encoded -> (
+          match Obs.Hist.decode (String.concat " " encoded) with
+          | Error msg -> fail "bad %s histogram: %s" which msg
+          | Ok h -> (
+              match which with
+              | "replan" -> replan_hist := Some h
+              | "recovery" -> recovery_hist := Some h
+              | other -> fail "unknown histogram %S" other))
+      | "pstate" :: total :: used ->
+          pstate :=
+            Some
+              ( float_tok "planner total" total,
+                arity "planner budget use" m (floats_of "planner used" used) )
+      | "pslot" :: u :: du :: cap :: cus ->
+          pslots :=
+            ( int_tok "planner slot" u,
+              ( float_tok "slot delivered utility" du,
+                float_tok "slot capped utility" cap,
+                arity "slot capacity use" mc
+                  (floats_of "slot capacity used" cus) ) )
+            :: !pslots
+      | "admitted" :: ids ->
+          admitted := Some (List.map (int_tok "admitted stream") ids)
+      | kw :: _ -> fail "unknown increment keyword %S" kw
+      | [] -> ())
     header;
-  { p_covers = covers;
-    p_nslots =
-      (match !nslots with
-      | Some n -> n
-      | None -> fail "increment missing nslots");
-    p_policy = !policy;
+  let need what = function
+    | Some x -> x
+    | None -> fail "increment missing %s" what
+  in
+  let p_counters = need "counters" !counters in
+  if p_counters.(8) <> covers then
+    fail "increment header covers %d but its counters say %d" covers
+      p_counters.(8);
+  let p_nslots = need "nslots" !nslots in
+  (* Every slot has a pslot line, so the slot table this increment
+     grows to is bounded by its own size. *)
+  if List.length !pslots <> p_nslots then
+    fail "%d slots but %d pslot lines" p_nslots (List.length !pslots);
+  (match catalog with
+  | Some (ns, _, _, _) ->
+      if !budget = None then fail "full increment missing its budget";
+      if List.length !costs <> ns then
+        fail "full increment has %d cost rows for %d streams"
+          (List.length !costs) ns
+  | None -> ());
+  { p_catalog = catalog;
+    p_nslots;
+    p_policy = need "policy" !policy;
     p_pinned = !pinned;
     p_budget = !budget;
     p_costs = List.rev !costs;
     p_freed = !freed;
     p_slots = List.rev !slots;
-    p_free = !free_order;
-    p_counters = !counters;
-    p_resilience = !resilience;
-    p_epoch = !epoch;
+    p_free = need "free order" !free_order;
+    p_counters;
+    p_epoch = need "epoch" !epoch;
     p_replan_hist = !replan_hist;
     p_recovery_hist = !recovery_hist;
-    p_pstate = !pstate;
+    p_pstate = need "pstate" !pstate;
     p_pslots = !pslots;
     p_admitted = !admitted;
     p_plan = String.concat "\n" plan_lines ^ "\n" }
+
+(* The view a full increment rebuilds on: its catalog with zero users.
+   Costs and budget start at zero and come from the increment itself. *)
+let catalog_view (ns, m, mc, name) =
+  View.of_instance
+    (Mmd.Instance.create ~name ~mc
+       ~server_cost:(Array.make_matrix ns m 0.)
+       ~budget:(Array.make m 0.) ~load:[||] ~capacity:[||] ~utility:[||]
+       ~utility_cap:[||] ())
 
 (* Apply one increment's view diff. Budget first, then cost rows —
    both through the ordinary delta path: the recorded values are the
@@ -499,95 +562,101 @@ let apply_view_diff view p =
   List.iter (fun (u, spec) -> View.restore_slot view u spec) p.p_slots;
   View.set_free_raw view p.p_free
 
+(* Install the last increment's controller and planner state. *)
+let controller_of view p =
+  let plan =
+    Mmd.Io.assignment_of_string ~num_users:(View.num_slots view) p.p_plan
+  in
+  let since_replan, utility_at_replan = p.p_epoch in
+  let c = p.p_counters in
+  let ctrl =
+    Controller.of_state ~since_replan ~deltas_applied:c.(8) ~utility_at_replan
+      ?admitted:p.p_admitted ~policy:p.p_policy ~pinned:p.p_pinned ~view ~plan ()
+  in
+  let cs = Controller.counters ctrl in
+  Counters.restore cs ~joins:c.(0) ~leaves:c.(1) ~cost_changes:c.(2)
+    ~budget_resizes:c.(3) ~replans:c.(4) ~evictions:c.(5);
+  Planner.add_evals (Controller.planner ctrl) ~evals:c.(6) ~eager_equiv:c.(7);
+  Counters.restore_resilience cs ~faults:c.(9) ~quarantined:c.(10)
+    ~recoveries:c.(11) ~fallbacks:c.(12);
+  Option.iter (Counters.set_replan_hist cs) p.p_replan_hist;
+  Option.iter (Counters.set_recovery_hist cs) p.p_recovery_hist;
+  let slots = Array.make (View.num_slots view) None in
+  List.iter
+    (fun (u, s) ->
+      if u < 0 || u >= Array.length slots then fail "pslot %d out of range" u;
+      slots.(u) <- Some s)
+    p.p_pslots;
+  let total, used = p.p_pstate in
+  Planner.set_float_state (Controller.planner ctrl) ~total ~used
+    ~slots:
+      (Array.mapi
+         (fun u -> function
+           | Some s -> s
+           | None -> fail "slot %d has no pslot line" u)
+         slots);
+  ctrl
+
 type recovered = {
   ctrl : Controller.t;
-  covered : int;  (** deltas applied at the restored increment *)
-  increments : int;  (** increments applied *)
-  torn : bool;  (** a torn/corrupt suffix was discarded *)
+  covered : int;
+  increments : int;
+  torn : bool;
 }
 
-let recover ~instance ~path =
-  Obs.Span.with_ ~name:"checkpoint.recover" (fun () ->
-      match read_all path with
-      | None ->
-          Error (Printf.sprintf "Checkpoint.recover: cannot read %s" path)
-      | Some text -> (
-          match scan_frames text with
-          | Error msg -> Error ("Checkpoint.recover: " ^ msg)
-          | Ok ([], _) -> Error "Checkpoint.recover: no valid increments"
-          | Ok (frames, torn) -> (
-              try
-                let view = View.of_instance instance in
-                let mc = View.mc view in
-                let last = ref None in
-                List.iter
-                  (fun frame ->
-                    let p = parse_frame ~mc frame in
-                    apply_view_diff view p;
-                    last := Some p)
-                  frames;
-                let p = Option.get !last in
-                let plan =
-                  Mmd.Io.assignment_of_string
-                    ~num_users:(View.num_slots view) p.p_plan
-                in
-                let since_replan, utility_at_replan =
-                  match p.p_epoch with
-                  | Some (s, u) -> (Some s, Some u)
-                  | None -> (None, None)
-                in
-                let deltas_applied =
-                  match p.p_counters with
-                  | Some (_, _, _, _, _, _, _, _, d) -> Some d
-                  | None -> Some p.p_covers
-                in
-                let ctrl =
-                  Controller.of_state ?since_replan ?deltas_applied
-                    ?utility_at_replan ?admitted:p.p_admitted
-                    ~policy:p.p_policy ~pinned:p.p_pinned ~view ~plan ()
-                in
-                (match p.p_counters with
-                | None -> ()
-                | Some (j, l, c, b, r, e, evals, eager, _) ->
-                    Counters.restore (Controller.counters ctrl) ~joins:j
-                      ~leaves:l ~cost_changes:c ~budget_resizes:b ~replans:r
-                      ~evictions:e;
-                    Planner.add_evals (Controller.planner ctrl) ~evals
-                      ~eager_equiv:eager);
-                (match p.p_resilience with
-                | None -> ()
-                | Some (faults, quarantined, recoveries, fallbacks) ->
-                    Counters.restore_resilience (Controller.counters ctrl)
-                      ~faults ~quarantined ~recoveries ~fallbacks);
-                (match p.p_replan_hist with
-                | Some h -> Counters.set_replan_hist (Controller.counters ctrl) h
-                | None -> ());
-                (match p.p_recovery_hist with
-                | Some h ->
-                    Counters.set_recovery_hist (Controller.counters ctrl) h
-                | None -> ());
-                (match p.p_pstate with
-                | None -> ()
-                | Some (total, used) ->
-                    let n = View.num_slots view in
-                    let slots =
-                      Array.init n (fun u ->
-                          match List.assoc_opt u p.p_pslots with
-                          | Some s -> s
-                          | None ->
-                              fail
-                                "pstate present but slot %d has no pslot line"
-                                u)
-                    in
-                    Planner.set_float_state (Controller.planner ctrl) ~total
-                      ~used ~slots);
-                Ok
-                  { ctrl;
-                    covered = p.p_covers;
-                    increments = List.length frames;
-                    torn }
-              with
-              | Parse_error msg -> Error ("Checkpoint.recover: " ^ msg)
-              | Invalid_argument msg -> Error ("Checkpoint.recover: " ^ msg)
-              | Failure msg -> Error ("Checkpoint.recover: " ^ msg))))
+(* Rebuild from the last full increment (earlier ones are superseded
+   by it), then the diffs after it in order. *)
+let rebuild frames =
+  let rec from_last_full acc = function
+    | [] -> acc
+    | f :: rest -> from_last_full (if f.full then f :: rest else acc) rest
+  in
+  match from_last_full [] frames with
+  | [] -> fail "chain does not start with a full increment"
+  | first :: diffs ->
+      let p = parse_frame ~dims:None first in
+      let view = catalog_view (Option.get p.p_catalog) in
+      apply_view_diff view p;
+      let dims = Some (View.m view, View.mc view) in
+      let last =
+        List.fold_left
+          (fun _ f ->
+            let p = parse_frame ~dims f in
+            apply_view_diff view p;
+            p)
+          p diffs
+      in
+      controller_of view last
 
+let restore ~whole text =
+  match scan_frames text with
+  | Error msg -> Error msg
+  | Ok (_, Some why) when whole -> Error why
+  | Ok ([], damage) ->
+      Error
+        (match damage with
+        | Some why -> "no valid increments: " ^ why
+        | None -> "no valid increments")
+  | Ok (frames, damage) -> (
+      match rebuild frames with
+      | ctrl ->
+          Ok
+            { ctrl;
+              covered = (List.nth frames (List.length frames - 1)).covers;
+              increments = List.length frames;
+              torn = damage <> None }
+      | exception (Parse_error msg | Invalid_argument msg | Failure msg) ->
+          Error msg)
+
+let recover_string text =
+  Obs.Span.with_ ~name:"checkpoint.recover" (fun () -> restore ~whole:false text)
+
+let recover ~path =
+  match read_all path with
+  | None -> Error (Printf.sprintf "Checkpoint.recover: cannot read %s" path)
+  | Some text ->
+      Result.map_error
+        (fun msg -> "Checkpoint.recover: " ^ msg)
+        (recover_string text)
+
+let of_string text = Result.map (fun r -> r.ctrl) (restore ~whole:true text)

@@ -1,11 +1,11 @@
 (* Startup recovery-path selection: checkpoint-chain + WAL-tail replay
-   vs full snapshot + tail vs a full WAL replay from scratch. Replaying
-   a record means running it through the planner's incremental apply —
+   vs snapshot + tail vs a full WAL replay from scratch. Replaying a
+   record means running it through the planner's incremental apply —
    orders of magnitude more expensive than parsing it — so the model
    prices a path by the records it must APPLY plus the bytes it must
-   parse back into a controller. The chain usually wins on both terms:
-   its increments skip the dense matrices a full snapshot carries, and
-   it is written more often so its tail is shorter. *)
+   parse back into a controller. Both files are the same format; the
+   chain is usually written more often, so its tail is shorter, but it
+   grows with history until a full increment is appended. *)
 
 type choice = Snapshot_tail | Full_replay | Chain_tail
 
@@ -16,27 +16,17 @@ type estimate = {
   chain_seconds : float;
 }
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
-
-(* Defaults calibrated from BENCH_engine on the reference machine
-   (apply path ~15µs/record; snapshot parse throughput ~80 MB/s →
-   ~12ns/byte — the chain is the same text format family, so it shares
-   the per-byte rate). Override per deployment: the point of the
-   chooser is the RATIO, so rough constants already pick the right
-   side except when two paths are within noise of each other — where
-   either choice is fine. *)
-let apply_seconds_per_record () =
-  env_float "VDMC_APPLY_SECONDS_PER_RECORD" 15e-6
-
-let snapshot_seconds_per_byte () =
-  env_float "VDMC_SNAPSHOT_SECONDS_PER_BYTE" 12e-9
+(* Calibrated from BENCH_engine on the reference machine (apply path
+   ~15µs/record; state parse throughput ~80 MB/s → ~12ns/byte — the
+   snapshot and the chain are the same format, so they share the
+   per-byte rate). The point of the chooser is the RATIO, so rough
+   constants already pick the right side except when two paths are
+   within noise of each other — where either choice is fine. *)
+let apply_seconds_per_record = 15e-6
+let state_seconds_per_byte = 12e-9
 
 let choose ?chain ~snapshot_bytes ~total_records ~covered () =
-  let apply = apply_seconds_per_record ()
-  and parse = snapshot_seconds_per_byte () in
+  let apply = apply_seconds_per_record and parse = state_seconds_per_byte in
   let tail_cost covered = float (max 0 (total_records - covered)) *. apply in
   let snapshot_seconds =
     if snapshot_bytes < 0 then infinity
@@ -58,33 +48,21 @@ let choose ?chain ~snapshot_bytes ~total_records ~covered () =
   in
   { choice; snapshot_seconds; replay_seconds; chain_seconds }
 
-let stat_bytes path =
-  match open_in_bin path with
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (in_channel_length ic))
-  | exception Sys_error _ -> None
-
 let assess ?chain_path ~snapshot_path ~total_records () =
-  let chain =
-    match chain_path with
-    | None -> None
-    | Some p -> (
-        match Checkpoint.peek p with
-        | Some (bytes, covered, _) when covered <= total_records ->
-            Some (bytes, covered)
-        | _ -> None)
+  (* A file is usable when it has a valid increment that does not claim
+     more records than the WAL holds (a stale WAL paired with a newer
+     artifact is not a tail-replay situation). *)
+  let usable path =
+    match Checkpoint.peek path with
+    | Some (bytes, covered, _) when covered <= total_records ->
+        Some (bytes, covered)
+    | _ -> None
   in
-  match (stat_bytes snapshot_path, Snapshot.peek_deltas_applied snapshot_path)
-  with
-  | Some snapshot_bytes, Some covered when covered <= total_records ->
+  let chain = Option.bind chain_path usable in
+  match usable snapshot_path with
+  | Some (snapshot_bytes, covered) ->
       choose ?chain ~snapshot_bytes ~total_records ~covered ()
-  | _ ->
-      (* No usable snapshot (missing, unreadable, no counters line, or
-         ahead of the WAL — a stale WAL paired with a newer snapshot is
-         not a tail-replay situation): chain or full replay. *)
-      choose ?chain ~snapshot_bytes:(-1) ~total_records ~covered:0 ()
+  | None -> choose ?chain ~snapshot_bytes:(-1) ~total_records ~covered:0 ()
 
 let choice_to_string = function
   | Snapshot_tail -> "snapshot+tail"

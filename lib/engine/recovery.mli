@@ -2,22 +2,20 @@
 
     After a crash the engine has (up to) three ways back: restore the
     checkpoint chain and replay only the WAL tail past its coverage,
-    load the latest full snapshot and replay its (usually longer)
-    tail, or replay the whole WAL from scratch. Which is cheaper
-    depends on staleness and parse weight — a checkpoint taken two
-    records ago makes the tail path nearly free; a snapshot taken at
-    record 10 of 100k is pure overhead on top of what is effectively a
-    full replay anyway; and the chain skips the dense matrices that
-    make a full snapshot expensive to parse in the first place.
+    load the latest snapshot and replay its (usually longer) tail, or
+    replay the whole WAL from scratch. Both state files are the same
+    {!Checkpoint} format, so which is cheaper depends on staleness and
+    size — a checkpoint taken two records ago makes the tail path
+    nearly free; a snapshot taken at record 10 of 100k is pure overhead
+    on top of what is effectively a full replay anyway.
 
     {!choose} prices the paths with a linear cost model (records to
-    {e apply} dominate; snapshot bytes to parse are the secondary
-    term) and picks the cheaper one. The constants are rough and
-    per-machine — override them with [VDMC_APPLY_SECONDS_PER_RECORD]
-    and [VDMC_SNAPSHOT_SECONDS_PER_BYTE] — but the decision only needs
-    the ratio, so rough is enough except where two paths cost the
-    same and either choice is fine. The choice taken is recorded via
-    {!Counters.note_recovery_path} by the caller (see {!note}). *)
+    {e apply} dominate; state bytes to parse are the secondary term)
+    and picks the cheaper one. The constants are rough and fixed, but
+    the decision only needs the ratio, so rough is enough except where
+    two paths cost the same and either choice is fine. The choice
+    taken is recorded via {!Counters.note_recovery_path} by the caller
+    (see {!note}). *)
 
 type choice = Snapshot_tail | Full_replay | Chain_tail
 
@@ -48,11 +46,11 @@ val choose :
 
 val assess :
   ?chain_path:string -> snapshot_path:string -> total_records:int -> unit -> estimate
-(** {!choose} against the files on disk: the snapshot's byte size and
-    {!Snapshot.peek_deltas_applied}, and (when [chain_path] is given)
-    the chain's {!Checkpoint.peek}. Degrades each path to [infinity]
-    when its file is missing, unreadable, structurally empty, or
-    claims to cover more records than the WAL holds (a stale WAL
+(** {!choose} against the files on disk: {!Checkpoint.peek} of the
+    snapshot and (when [chain_path] is given) of the chain — byte size
+    and coverage of the last valid increment. Degrades each path to
+    [infinity] when its file is missing, unreadable, structurally
+    empty, or claims to cover more records than the WAL holds (a stale WAL
     paired with a newer artifact is not a tail-replay situation);
     with neither artifact usable the choice is [Full_replay]. *)
 

@@ -1,302 +1,22 @@
-(* Engine state snapshots: a checksummed envelope line, then a small
-   header, then the materialized view in Mmd.Io instance format, then
-   the plan in Mmd.Io plan format, separated by %%-section markers.
+(* Whole-state snapshots: a checkpoint chain of one full increment,
+   written crash-atomically with the previous generation kept as a
+   fallback. *)
 
-   v2 envelope: "mmd-engine-snapshot v2 <body-bytes> <crc32-hex>\n"
-   followed by the body; the length catches truncation (a torn write
-   that lost the tail) and the CRC catches corruption, each with a
-   distinct error message. v1 documents (no envelope) still load, so
-   snapshots from older engines keep working. *)
-
-let magic_prefix = "mmd-engine-snapshot"
-let magic_v1 = "mmd-engine-snapshot v1"
-let magic_v2 = "mmd-engine-snapshot v2"
-let magic = magic_v1
-
-let body ctrl =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s) fmt in
-  addf "policy %s\n" (Controller.policy_to_string (Controller.policy ctrl));
-  (match Controller.pinned ctrl with
-  | [] -> ()
-  | pinned ->
-      addf "pinned%s\n"
-        (String.concat ""
-           (List.map (fun s -> Printf.sprintf " %d" s) pinned)));
-  addf "active%s\n"
-    (String.concat ""
-       (List.map
-          (fun u -> Printf.sprintf " %d" u)
-          (View.active_slots (Controller.view ctrl))));
-  (match View.free_list (Controller.view ctrl) with
-  | [] -> ()
-  | free ->
-      addf "free%s\n"
-        (String.concat "" (List.map (fun u -> Printf.sprintf " %d" u) free)));
-  let j, l, c, b, r, e = Counters.fields (Controller.counters ctrl) in
-  let ft, q, rec_, fb = Counters.resilience_fields (Controller.counters ctrl) in
-  let planner = Controller.planner ctrl in
-  addf "counters %d %d %d %d %d %d %d %d %d %d %d %d %d\n" j l c b r e
-    (Planner.evals planner)
-    (Planner.eager_equiv planner)
-    (Controller.deltas_applied ctrl)
-    ft q rec_ fb;
-  addf "epoch %d %.17g\n"
-    (Controller.since_replan ctrl)
-    (Controller.utility_at_replan ctrl);
-  (* v2.1 (version-gated): latency histograms, so restored engines
-     keep their pre-crash samples. Files without these lines — v1 and
-     older v2 — still load, with empty histograms as before. *)
-  let cs = Controller.counters ctrl in
-  if Obs.Hist.count (Counters.replan_hist cs) > 0 then
-    addf "hist replan %s\n" (Obs.Hist.encode (Counters.replan_hist cs));
-  if Obs.Hist.count (Counters.recovery_hist cs) > 0 then
-    addf "hist recovery %s\n" (Obs.Hist.encode (Counters.recovery_hist cs));
-  (* v2.2 (version-gated): the planner's accumulated float state.
-     [Planner.force] rebuilds these in plan order, which can round
-     differently from the live incremental accumulation — persisting
-     the exact bits keeps recovery bit-identical (utility included).
-     Hex floats round-trip exactly. *)
-  let ptotal, pused, pslots = Planner.float_state planner in
-  let floats a =
-    String.concat "" (List.map (Printf.sprintf " %h") (Array.to_list a))
-  in
-  addf "pstate %h%s\n" ptotal (floats pused);
-  Array.iteri
-    (fun u (du, cap, cu) -> addf "pslot %d %h %h%s\n" u du cap (floats cu))
-    pslots;
-  (* v2.2 (version-gated): the transmitted set. The plan section only
-     names streams delivered to at least one slot, so a stream whose
-     recipients all left — still holding budget, still free for later
-     joiners — would be silently dropped on restore. *)
-  (match Planner.admitted planner with
-  | [] -> ()
-  | streams ->
-      addf "admitted%s\n"
-        (String.concat ""
-           (List.map (fun s -> Printf.sprintf " %d" s) streams)));
-  addf "%%%%instance\n%s"
-    (Mmd.Io.to_string (View.materialize (Controller.view ctrl)));
-  addf "%%%%plan\n%s" (Mmd.Io.assignment_to_string (Controller.plan ctrl));
-  addf "%%%%end\n";
-  Buffer.contents buf
-
-let save ctrl =
-  let b = body ctrl in
-  Printf.sprintf "%s %d %s\n%s" magic_v2 (String.length b)
-    (Prelude.Crc32.to_hex (Prelude.Crc32.digest b))
-    b
-
-exception Parse_error of string
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
-
-let int_tok what tok =
-  match int_of_string_opt tok with
-  | Some x -> x
-  | None -> fail "bad %s %S" what tok
-
-let float_tok what tok =
-  match float_of_string_opt tok with
-  | Some x -> x
-  | None -> fail "bad %s %S" what tok
-
-(* Parse the body (everything after the envelope / v1 magic line). *)
-let load_body lines =
-  let header, rest =
-    let rec split acc = function
-      | [] -> fail "missing %%instance section"
-      | "%%instance" :: rest -> (List.rev acc, rest)
-      | line :: rest -> split (line :: acc) rest
-    in
-    split [] lines
-  in
-  let instance_lines, rest =
-    let rec split acc = function
-      | [] -> fail "missing %%plan section"
-      | "%%plan" :: rest -> (List.rev acc, rest)
-      | line :: rest -> split (line :: acc) rest
-    in
-    split [] rest
-  in
-  let plan_lines =
-    let rec take acc = function
-      | [] | "%%end" :: _ -> List.rev acc
-      | line :: rest -> take (line :: acc) rest
-    in
-    take [] rest
-  in
-  let policy = ref (Controller.Every 64) in
-  let pinned = ref [] in
-  let active = ref [] in
-  let free = ref None in
-  let counters = ref None in
-  let resilience = ref None in
-  let epoch = ref None in
-  let replan_hist = ref None in
-  let recovery_hist = ref None in
-  let pstate = ref None in
-  let pslots = ref [] in
-  let admitted = ref None in
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match
-          String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-        with
-        | "policy" :: spec ->
-            (match
-               Controller.policy_of_string (String.concat ":" spec)
-             with
-            | Ok p -> policy := p
-            | Error msg -> fail "%s" msg)
-        | "pinned" :: ids -> pinned := List.map (int_tok "pinned id") ids
-        | "active" :: ids -> active := List.map (int_tok "slot id") ids
-        | "free" :: ids -> free := Some (List.map (int_tok "free slot") ids)
-        | "counters" :: fields -> (
-            match List.map (int_tok "counter") fields with
-            | [ j; l; c; b; r; e; evals; eager; deltas ] ->
-                counters := Some (j, l, c, b, r, e, evals, eager, deltas)
-            | [ j; l; c; b; r; e; evals; eager; deltas; ft; q; rec_; fb ] ->
-                counters := Some (j, l, c, b, r, e, evals, eager, deltas);
-                resilience := Some (ft, q, rec_, fb)
-            | _ -> fail "counters expects 9 or 13 fields")
-        | [ "epoch"; since; util ] -> (
-            match (int_of_string_opt since, float_of_string_opt util) with
-            | Some s, Some u -> epoch := Some (s, u)
-            | _ -> fail "bad epoch line")
-        | "hist" :: which :: encoded -> (
-            match Obs.Hist.decode (String.concat " " encoded) with
-            | Error msg -> fail "bad %s histogram: %s" which msg
-            | Ok h -> (
-                match which with
-                | "replan" -> replan_hist := Some h
-                | "recovery" -> recovery_hist := Some h
-                | other -> fail "unknown histogram %S" other))
-        | "pstate" :: total :: used ->
-            pstate :=
-              Some
-                ( float_tok "planner total" total,
-                  Array.of_list (List.map (float_tok "planner used") used) )
-        | "pslot" :: u :: du :: cap :: cus ->
-            pslots :=
-              ( int_tok "planner slot" u,
-                ( float_tok "slot delivered utility" du,
-                  float_tok "slot capped utility" cap,
-                  Array.of_list (List.map (float_tok "slot capacity used") cus)
-                ) )
-              :: !pslots
-        | "admitted" :: ids ->
-            admitted := Some (List.map (int_tok "admitted stream") ids)
-        | kw :: _ -> fail "unknown header keyword %S" kw
-        | [] -> ())
-    header;
-  let instance =
-    Mmd.Io.of_string (String.concat "\n" instance_lines ^ "\n")
-  in
-  let plan =
-    Mmd.Io.assignment_of_string
-      ~num_users:(Mmd.Instance.num_users instance)
-      (String.concat "\n" plan_lines ^ "\n")
-  in
-  let view = View.of_materialized ~active:!active ?free:!free instance in
-  let since_replan, utility_at_replan =
-    match !epoch with
-    | Some (s, u) -> (Some s, Some u)
-    | None -> (None, None)
-  in
-  let deltas_applied =
-    match !counters with Some (_, _, _, _, _, _, _, _, d) -> Some d | None -> None
-  in
-  let ctrl =
-    try
-      Controller.of_state ?since_replan ?deltas_applied ?utility_at_replan
-        ?admitted:!admitted ~policy:!policy ~pinned:!pinned ~view ~plan ()
-    with Invalid_argument msg -> fail "%s" msg
-  in
-  (match !counters with
-  | None -> ()
-  | Some (j, l, c, b, r, e, evals, eager, _deltas) ->
-      Counters.restore (Controller.counters ctrl) ~joins:j ~leaves:l
-        ~cost_changes:c ~budget_resizes:b ~replans:r ~evictions:e;
-      Planner.add_evals (Controller.planner ctrl) ~evals ~eager_equiv:eager);
-  (match !resilience with
-  | None -> ()
-  | Some (faults, quarantined, recoveries, fallbacks) ->
-      Counters.restore_resilience (Controller.counters ctrl) ~faults
-        ~quarantined ~recoveries ~fallbacks);
-  (match !replan_hist with
-  | Some h -> Counters.set_replan_hist (Controller.counters ctrl) h
-  | None -> ());
-  (match !recovery_hist with
-  | Some h -> Counters.set_recovery_hist (Controller.counters ctrl) h
-  | None -> ());
-  (match !pstate with
-  | None -> ()
-  | Some (total, used) ->
-      (* When the snapshot carries planner float state it must be
-         complete: one pslot line per view slot. *)
-      let n = View.num_slots view in
-      let slots =
-        Array.init n (fun u ->
-            match List.assoc_opt u !pslots with
-            | Some s -> s
-            | None -> fail "pstate present but slot %d has no pslot line" u)
-      in
-      (try
-         Planner.set_float_state (Controller.planner ctrl) ~total ~used ~slots
-       with Invalid_argument msg -> fail "%s" msg));
-  ctrl
-
-let load_result_impl text =
-  match
-    let nl =
-      match String.index_opt text '\n' with
-      | Some i -> i
-      | None -> fail "not an engine snapshot (no envelope line)"
-    in
-    let first = String.sub text 0 nl in
-    match
-      String.split_on_char ' ' first |> List.filter (fun s -> s <> "")
-    with
-    | [ p; "v2"; len; crc ] when p = magic_prefix ->
-        let len = int_tok "body length" len in
-        let stored =
-          match Prelude.Crc32.of_hex crc with
-          | Some c -> c
-          | None -> fail "bad envelope checksum field %S" crc
-        in
-        let avail = String.length text - nl - 1 in
-        if avail < len then
-          fail "truncated snapshot (body %d of %d bytes) — torn write" avail
-            len;
-        let body = String.sub text (nl + 1) len in
-        let actual = Prelude.Crc32.digest body in
-        if actual <> stored then
-          fail "snapshot checksum mismatch (stored %s, actual %s)" crc
-            (Prelude.Crc32.to_hex actual);
-        load_body (String.split_on_char '\n' body)
-    | _ when first = magic_v1 ->
-        (* Legacy un-checksummed document. *)
-        load_body
-          (String.split_on_char '\n'
-             (String.sub text (nl + 1) (String.length text - nl - 1)))
-    | _ -> fail "not an engine snapshot (bad magic)"
-  with
-  | ctrl -> Ok ctrl
-  | exception Parse_error msg -> Error ("Snapshot.load: " ^ msg)
-  | exception Failure msg -> Error ("Snapshot.load: " ^ msg)
-  | exception Invalid_argument msg -> Error ("Snapshot.load: " ^ msg)
+let save = Checkpoint.to_string
 
 let load_result text =
-  Obs.Span.with_ ~name:"snapshot.read" (fun () -> load_result_impl text)
+  Obs.Span.with_ ~name:"snapshot.read" (fun () ->
+      Result.map_error
+        (fun msg -> "Snapshot.load: " ^ msg)
+        (Checkpoint.of_string text))
 
 let load text =
   match load_result text with Ok ctrl -> ctrl | Error msg -> failwith msg
 
 let is_snapshot text =
-  String.length text >= String.length magic_prefix
-  && String.sub text 0 (String.length magic_prefix) = magic_prefix
+  List.exists
+    (fun prefix -> String.starts_with ~prefix text)
+    [ Checkpoint.magic; "mmd-engine-snapshot" ]
 
 let previous_path path = path ^ ".prev"
 
@@ -305,15 +25,9 @@ let m_write_seconds = lazy (Obs.Metrics.histogram "snapshot_write_seconds")
 let write_file path ctrl =
   Obs.Span.with_ ~name:"snapshot.write" (fun () ->
       let t0 = Obs.Clock.now () in
-      let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (save ctrl));
       (* Keep the old generation around: if this write turns out torn
          or corrupted, [read_file_result] falls back to it. *)
-      if Sys.file_exists path then Sys.rename path (previous_path path);
-      Sys.rename tmp path;
+      Atomic_file.write ~previous:(previous_path path) path (save ctrl);
       Obs.Hist.observe (Lazy.force m_write_seconds)
         (Obs.Clock.elapsed_since t0))
 
@@ -343,38 +57,3 @@ let read_file_result path =
               (Printf.sprintf "%s; previous generation also unusable: %s"
                  primary fallback)
       else Error primary)
-
-let read_file path =
-  match read_file_result path with
-  | Ok (ctrl, _) -> ctrl
-  | Error msg -> failwith msg
-
-(* A cheap structural peek: how many deltas does the snapshot on disk
-   cover? Scans for the counters line without verifying the envelope —
-   the recovery chooser only needs an estimate, and the verified load
-   happens after (and only if) the snapshot path is chosen. *)
-let peek_deltas_applied path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          match input_line ic with
-          | exception End_of_file -> None
-          | first when not (is_snapshot first) -> None
-          | _ ->
-              let rec scan () =
-                match input_line ic with
-                | exception End_of_file -> None
-                | line -> (
-                    match
-                      String.split_on_char ' ' line
-                      |> List.filter (fun s -> s <> "")
-                    with
-                    | "counters" :: fields when List.length fields >= 9 ->
-                        int_of_string_opt (List.nth fields 8)
-                    | "%%instance" :: _ -> None
-                    | _ -> scan ())
-              in
-              scan ())

@@ -1,23 +1,16 @@
-(** Engine state persistence, crash-safe.
+(** Whole-state snapshots, crash-safe.
 
-    A snapshot is a self-contained text document: a checksummed
-    envelope line ([v2]: body length + CRC-32), a short header (epoch
-    policy, pinned streams, active slots, aggregate counters), the
-    materialized view in the {!Mmd.Io} instance format and the current
-    plan in its plan format, separated by [%%section] markers.
-    Restoring yields a controller that continues exactly where the
-    saved one stopped — same plan, same slot ids, same counters —
-    except that latency samples restart empty.
+    A snapshot is a {!Checkpoint} chain of exactly one full increment:
+    the same encoding, the same reader. Restoring yields a controller
+    that continues exactly where the saved one stopped — same plan,
+    same slot ids, same counters and latency histograms.
 
-    Durability contract: {!write_file} goes through a tmp file and an
-    atomic rename and keeps the previous generation as [path.prev];
-    {!read_file_result} verifies length (truncation / torn write) and
-    CRC (corruption) before parsing and falls back to the previous
-    generation when the current file is damaged. Legacy [v1]
-    (un-checksummed) documents still load. *)
-
-val magic : string
-(** The legacy v1 magic line (still accepted on load). *)
+    Durability contract: {!write_file} goes through a tmp file, fsync
+    and an atomic rename ({!Atomic_file.write}) and keeps the previous
+    generation as [path.prev]; {!read_file_result} verifies each
+    frame's length (truncation / torn write) and CRC (corruption)
+    before parsing and falls back to the previous generation when the
+    current file is damaged. *)
 
 val save : Controller.t -> string
 
@@ -31,9 +24,10 @@ val load : string -> Controller.t
     input. *)
 
 val is_snapshot : string -> bool
-(** Does the text start with the snapshot magic prefix (any version)?
-    (Used by the CLI to accept either an instance file or a
-    snapshot.) *)
+(** Does the text start with an engine-state magic line? (Used by the
+    CLI to accept either an instance file or a snapshot.) Files of the
+    retired snapshot format count too, so loading them fails on the
+    magic instead of as an instance. *)
 
 val write_file : string -> Controller.t -> unit
 (** Crash-safe write: [path.tmp] first, then the existing [path] (if
@@ -48,14 +42,5 @@ val read_file_result : string -> (Controller.t * generation, string) result
     generation is truncated, corrupted or unparseable. The returned
     {!generation} says which one was used. *)
 
-val read_file : string -> Controller.t
-(** @raise Failure when no generation is loadable (CLI boundary). *)
-
 val previous_path : string -> string
 (** [path.prev], the fallback generation written by {!write_file}. *)
-
-val peek_deltas_applied : string -> int option
-(** How many deltas the snapshot at [path] covers, read by scanning its
-    header for the counters line — no envelope verification, no view or
-    plan parsing. The cheap input {!Recovery.choose} needs; [None] when
-    the file is missing, not a snapshot, or lacks a counters line. *)

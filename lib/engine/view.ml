@@ -485,35 +485,6 @@ let materialize t =
 
 let free_list t = t.free
 
-let of_materialized ~active ?free inst =
-  let t = of_instance inst in
-  let keep = Array.make t.num_slots false in
-  List.iter
-    (fun u ->
-      if u < 0 || u >= t.num_slots then
-        invalid_arg "View.of_materialized: active slot out of range";
-      keep.(u) <- true)
-    active;
-  for u = t.num_slots - 1 downto 0 do
-    if not keep.(u) then begin
-      clear_slot t u;
-      t.free <- u :: t.free;
-      t.active_count <- t.active_count - 1
-    end
-  done;
-  (* Restoring a snapshot must reproduce the original view's slot
-     reuse order, or replayed logs diverge on the next join. *)
-  (match free with
-  | None -> ()
-  | Some order ->
-      if
-        List.length order <> List.length t.free
-        || List.exists (fun u -> u < 0 || u >= t.num_slots || keep.(u)) order
-        || List.sort_uniq compare order <> List.sort compare t.free
-      then invalid_arg "View.of_materialized: free list mismatch";
-      t.free <- order);
-  t
-
 (* Raw restore primitives for checkpoint-increment recovery: they
    mutate slot state directly, outside the delta path, and leave the
    free list to be installed wholesale by [set_free_raw] afterwards.

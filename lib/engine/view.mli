@@ -140,14 +140,6 @@ val free_list : t -> int list
 (** Inactive slots in the order {!apply} will reuse them (most
     recently freed first). *)
 
-val of_materialized : active:int list -> ?free:int list -> Mmd.Instance.t -> t
-(** Inverse of {!materialize} given the active slot set — used by
-    snapshot restore. Slots outside [active] are free; [free] fixes
-    their reuse order (it must be a permutation of exactly those
-    slots, or @raise Invalid_argument). Without it joins after a
-    restore may pick different slots than the original view would
-    have, so replaying one delta log against both diverges. *)
-
 (** {1 Raw restore}
 
     Checkpoint-increment recovery rebuilds a view by replaying

@@ -251,12 +251,7 @@ let recover_file path =
   | exception Sys_error msg -> Error msg
 
 let write_file ?first_seq path deltas =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?first_seq deltas));
-  Sys.rename tmp path
+  Atomic_file.write path (to_string ?first_seq deltas)
 
 type writer = { oc : out_channel; mutable next_seq : int }
 

@@ -71,7 +71,8 @@ val recover_file : string -> (recovery, string) result
 (** {!recover_channel} on a file; IO errors become [Error]. *)
 
 val write_file : ?first_seq:int -> string -> Delta.t list -> unit
-(** Write a whole log crash-safely: tmp file then atomic rename. *)
+(** Write a whole log crash-safely through {!Atomic_file.write}: tmp
+    file, fsync, atomic rename, fsync of the directory. *)
 
 (** {1 Incremental appending}
 

@@ -151,7 +151,7 @@ module Hist = struct
 
   (* One-line textual codec ("h1 <count> <sum> <sumsq> <min> <max>
      i:c ..."), floats in hex so the round trip is bit-exact. Used by
-     the Snapshot v2 envelope. *)
+     the engine-state increments. *)
   let encode t =
     locked t (fun () ->
         let buf = Buffer.create 128 in

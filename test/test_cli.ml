@@ -1,6 +1,7 @@
 (* The mmd_engine CLI refuses flags the chosen replay mode does not
-   read, honours --trace-out in every mode, and builds its heartbeat
-   config in one place. *)
+   read, honours --trace-out in every mode, builds its heartbeat config
+   in one place, and reports a replay that dies mid-batch at the same
+   position whatever the batch size. *)
 
 open Helpers
 
@@ -96,6 +97,40 @@ let test_heartbeat_config () =
     (Invalid_argument "heartbeat_every: need at least 1") (fun () ->
       ignore (G.heartbeat_config (Some 0)))
 
+(* Record 49 of a 100-delta log leaves a slot that never existed. The
+   batch holding it has applied its first deltas when it dies, and
+   every report of the position has to count them. *)
+let test_mid_batch_abort_count () =
+  with_instance (fun dir ->
+      ignore
+        (Test_replay_pins.transcript ~dir
+           [ "TMP/inst.mmd"; "--gen-deltas"; "99"; "--seed"; "7";
+             "--deltas-out"; "TMP/g.log" ]);
+      let lines =
+        String.split_on_char '\n'
+          (Test_replay_pins.read_file (Filename.concat dir "g.log"))
+        |> List.filter (fun l -> l <> "")
+      in
+      Out_channel.with_open_bin (Filename.concat dir "bad.log") (fun oc ->
+          List.iteri
+            (fun i l ->
+              if i = 48 then output_string oc "leave 9999\n";
+              output_string oc (l ^ "\n"))
+            lines);
+      List.iter
+        (fun batch ->
+          let out =
+            Test_replay_pins.transcript ~dir
+              [ "TMP/inst.mmd"; "-d"; "TMP/bad.log"; "--batch"; batch ]
+          in
+          List.iter
+            (fun line -> check_bool ("--batch " ^ batch ^ ": " ^ line) true (contains out line))
+            [ "last applied: 48 deltas this run (log seq 48)";
+              "lifetime deltas: 48,";
+              "replay aborted after 48 deltas (log seq 48)";
+              "exit 124" ])
+        [ "1"; "7"; "64" ])
+
 let suite =
   [ Alcotest.test_case "flags a mode does not read are refused" `Quick
       test_unread_flags_refused;
@@ -103,4 +138,6 @@ let suite =
       test_cadences_at_least_1;
     Alcotest.test_case "--trace-out honoured in every mode" `Quick
       test_trace_out_every_mode;
-    Alcotest.test_case "heartbeat config built once" `Quick test_heartbeat_config ]
+    Alcotest.test_case "heartbeat config built once" `Quick test_heartbeat_config;
+    Alcotest.test_case "mid-batch abort reports one position" `Quick
+      test_mid_batch_abort_count ]

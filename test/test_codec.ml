@@ -6,7 +6,8 @@
    written by older builds stay readable, and a follower verifies the
    very bytes its primary logged. The reference implementations below
    are copies of the original code, kept here as oracles only. Every
-   decoder of untrusted bytes must return [Ok] or [Error], never raise. *)
+   decoder of untrusted bytes — engine state files included — must
+   return [Ok] or [Error], never raise. *)
 
 open Helpers
 module D = Engine.Delta
@@ -567,6 +568,151 @@ let never_raise_prop seed =
   && List.for_all same_frame_verdict (hb :: hostile_variants rng hb)
   && List.for_all (no_raise decode_frames) (hostile_variants rng wire)
 
+(* ---------- Engine state files ---------- *)
+
+module K = Engine.Checkpoint
+module S = Engine.Snapshot
+
+(* A small world's snapshot (one full increment) and checkpoint chain
+   (a full increment and two diffs). *)
+let state_files =
+  lazy
+    (let inst = random_mmd ~seed:5 ~num_streams:6 ~num_users:5 ~m:2 ~mc:1 ~skew:2. in
+     let log =
+       Engine.Churn.generate ~rng:(Rng.create 6) (Engine.View.of_instance inst)
+         { Engine.Churn.default with deltas = 30 }
+     in
+     let ctrl = Engine.Controller.create ~policy:(Engine.Controller.Every 8) inst in
+     let path = Filename.temp_file "codec" ".ckpt" in
+     Sys.remove path;
+     let w = K.create_writer ~path ctrl in
+     List.iteri
+       (fun i d ->
+         K.note w (Engine.Controller.apply ctrl d);
+         if (i + 1) mod 10 = 0 then K.checkpoint w ctrl)
+       log;
+     K.close_writer w;
+     let chain = read_file path in
+     Sys.remove path;
+     (S.save ctrl, chain))
+
+(* The frames of a well-formed state file as (kind, covers, body), and
+   back with lengths and checksums recomputed. *)
+let frames_of text =
+  let rec go pos acc =
+    if pos >= String.length text then List.rev acc
+    else
+      let nl = String.index_from text pos '\n' in
+      match String.split_on_char ' ' (String.sub text pos (nl - pos)) with
+      | [ kind; covers; len; _ ] ->
+          let len = int_of_string len in
+          go (nl + 1 + len) ((kind, covers, String.sub text (nl + 1) len) :: acc)
+      | _ -> failwith "frames_of: bad header"
+  in
+  go (String.length K.magic + 1) []
+
+let state_of frames =
+  String.concat ""
+    ((K.magic ^ "\n")
+    :: List.map
+         (fun (kind, covers, body) ->
+           Printf.sprintf "%s %s %d %s\n%s" kind covers (String.length body)
+             (Crc32.to_hex (Crc32.digest body))
+             body)
+         frames)
+
+let hostile_numbers =
+  [| "-1"; "0"; "1"; "3"; "7"; "99999999999"; "4611686018427387903"; "nan";
+     "inf"; "-0x1p+0"; "0x1p+1023"; "x"; ""; "slot"; "%%plan"; "catalog" |]
+
+(* One line of the body changed: a token swapped for a hostile number,
+   the line dropped, duplicated or byte-mutated, or two lines swapped. *)
+let mutate_body rng body =
+  let lines = Array.of_list (String.split_on_char '\n' body) in
+  let n = Array.length lines in
+  let i = Rng.int rng n in
+  let lines =
+    match Rng.int rng 5 with
+    | 0 ->
+        let toks = Array.of_list (String.split_on_char ' ' lines.(i)) in
+        toks.(Rng.int rng (Array.length toks)) <-
+          hostile_numbers.(Rng.int rng (Array.length hostile_numbers));
+        lines.(i) <- String.concat " " (Array.to_list toks);
+        Array.to_list lines
+    | 1 -> List.filteri (fun j _ -> j <> i) (Array.to_list lines)
+    | 2 ->
+        List.concat (List.mapi (fun j l -> if j = i then [ l; l ] else [ l ]) (Array.to_list lines))
+    | 3 ->
+        lines.(i) <- mutate rng lines.(i);
+        Array.to_list lines
+    | _ ->
+        let j = Rng.int rng n in
+        let t = lines.(i) in
+        lines.(i) <- lines.(j);
+        lines.(j) <- t;
+        Array.to_list lines
+  in
+  String.concat "\n" lines
+
+let load_is_error text = Result.is_error (S.load_result text)
+
+let state_never_raise_prop seed =
+  let rng = Rng.create seed in
+  let snapshot, chain = Lazy.force state_files in
+  let reframed text =
+    let frames = frames_of text in
+    let k = Rng.int rng (List.length frames) in
+    state_of
+      (List.mapi
+         (fun j (kind, covers, body) ->
+           (kind, covers, if j = k then mutate_body rng body else body))
+         frames)
+  in
+  let variants =
+    (K.magic ^ "\n" ^ random_bytes rng 200)
+    :: reframed snapshot :: reframed chain
+    :: (hostile_variants rng snapshot @ hostile_variants rng chain)
+  in
+  List.for_all (no_raise S.load_result) variants
+  && List.for_all (no_raise K.recover_string) variants
+  (* A snapshot must be whole: every single flipped bit is caught, by
+     the checksum or by the header's agreement with the body. *)
+  && load_is_error (flip_bit rng snapshot)
+  && load_is_error (random_bytes rng (Rng.int rng 300))
+
+let test_state_truncations () =
+  let snapshot, chain = Lazy.force state_files in
+  for n = 0 to String.length snapshot - 1 do
+    let cut = String.sub snapshot 0 n in
+    if not (load_is_error cut) then Alcotest.failf "snapshot cut at %d loaded" n;
+    if not (no_raise K.recover_string cut) then Alcotest.failf "snapshot cut at %d raised" n
+  done;
+  for n = 0 to String.length chain - 1 do
+    if not (no_raise K.recover_string (String.sub chain 0 n)) then
+      Alcotest.failf "chain cut at %d raised" n
+  done;
+  (* The damage is named after the first bad frame. *)
+  let contains_msg text sub =
+    match S.load_result text with Error msg -> contains msg sub | Ok _ -> false
+  in
+  check_bool "torn body says truncated" true
+    (contains_msg (String.sub snapshot 0 (String.length snapshot - 1)) "truncated");
+  let tail = String.length snapshot - 2 in
+  let b = Bytes.of_string snapshot in
+  Bytes.set b tail (if snapshot.[tail] = '1' then '2' else '1');
+  check_bool "changed body says checksum" true
+    (contains_msg (Bytes.to_string b) "checksum");
+  (* Through the file reader too: a chain torn inside its first frame
+     is an error naming the truncation. *)
+  let path = Filename.temp_file "codec" ".ckpt" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (String.sub chain 0 (String.length K.magic + 40)));
+  let r = K.recover ~path in
+  Sys.remove path;
+  match r with
+  | Error msg -> check_bool "recover names the truncation" true (contains msg "truncated")
+  | Ok _ -> Alcotest.fail "a chain with no whole frame recovered"
+
 let suite =
   [ qtest ~count:200 "delta and record encoders match the Printf reference"
       QCheck2.Gen.(int_range 0 1_000_000) encoder_prop;
@@ -583,4 +729,8 @@ let suite =
     Alcotest.test_case "golden WAL reproduced byte for byte" `Quick
       test_golden_wal;
     qtest ~count:300 "untrusted decoders never raise"
-      QCheck2.Gen.(int_range 0 1_000_000) never_raise_prop ]
+      QCheck2.Gen.(int_range 0 1_000_000) never_raise_prop;
+    qtest ~count:300 "engine state decoders never raise"
+      QCheck2.Gen.(int_range 0 1_000_000) state_never_raise_prop;
+    Alcotest.test_case "engine state truncations are errors" `Quick
+      test_state_truncations ]

@@ -269,7 +269,7 @@ let chain_recovery_prop (seed, cut_frac, checkpoint_every, segment_records) =
          the first checkpoint) falls back to a fresh controller — the
          full-replay path. *)
       let restored, covered =
-        match K.recover ~instance:inst ~path:chain_path with
+        match K.recover ~path:chain_path with
         | Ok r -> (r.K.ctrl, r.K.covered)
         | Error _ -> (C.create ~policy inst, 0)
       in
@@ -373,7 +373,7 @@ let test_chain_peek_and_torn_tail () =
       let oc = open_out_bin path in
       output_string oc (String.sub text 0 (String.length text - 31));
       close_out oc;
-      match (K.peek path, K.recover ~instance:inst ~path) with
+      match (K.peek path, K.recover ~path) with
       | Some (_, covered, increments), Ok r ->
           check_int "fell back to increment 3" 3 increments;
           check_int "covers 60" 60 covered;
@@ -382,11 +382,43 @@ let test_chain_peek_and_torn_tail () =
       | None, _ -> Alcotest.fail "peek failed after tear"
       | _, Error m -> Alcotest.fail m)
 
+(* A writer reopened on a chain with a torn tail appends after the
+   valid prefix, so what it appends is read back. *)
+let test_chain_append_after_torn_tail () =
+  let inst, log = world ~deltas:80 47 in
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "chain.ckpt" in
+      let ctrl = C.create ~policy:(C.Every 16) inst in
+      let w = K.create_writer ~path ctrl in
+      List.iteri
+        (fun i d ->
+          K.note w (C.apply ctrl d);
+          if (i + 1) mod 20 = 0 then K.checkpoint w ctrl)
+        log;
+      K.close_writer w;
+      let ic = open_in_bin path in
+      let text = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let oc = open_out_bin path in
+      output_string oc (String.sub text 0 (String.length text - 31));
+      close_out oc;
+      (* The controller is at 80, the chain's valid prefix at 60: the
+         next increment is a full one. *)
+      let w = K.create_writer ~path ctrl in
+      check_int "resumes at the valid prefix" 60 (K.covered w);
+      K.checkpoint w ctrl;
+      K.close_writer w;
+      match K.recover ~path with
+      | Ok r ->
+          check_bool "no torn suffix left" false r.K.torn;
+          check_int "covers the appended increment" 80 r.K.covered;
+          check_float "same utility" (C.utility ctrl) (C.utility r.K.ctrl)
+      | Error m -> Alcotest.fail m)
+
 (* ---------- the recovery chooser ---------- *)
 
 let test_chooser_three_way () =
-  (* Pure cost model: rates pinned via the documented env knobs are
-     not needed — relative magnitudes decide. *)
+  (* Pure cost model: relative magnitudes decide. *)
   let est =
     R.choose ~chain:(1_000, 950) ~snapshot_bytes:500_000 ~total_records:1_000
       ~covered:900 ()
@@ -448,6 +480,8 @@ let suite =
       test_store_bytes_match_wal;
     Alcotest.test_case "chain: peek and torn-tail fallback" `Quick
       test_chain_peek_and_torn_tail;
+    Alcotest.test_case "chain: append after a torn tail" `Quick
+      test_chain_append_after_torn_tail;
     Alcotest.test_case "chooser: three-way cost model" `Quick
       test_chooser_three_way;
     Alcotest.test_case "chooser: assess on-disk artifacts" `Quick

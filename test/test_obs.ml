@@ -1,7 +1,7 @@
 (* The observability layer: monotonic wall clock (the Sys.time bug
    class), histogram codec/merge/quantiles, span JSONL output and
    nesting across pool tasks, metric aggregation, and histogram
-   persistence through Snapshot v2. *)
+   persistence through snapshots. *)
 
 open Helpers
 module H = Obs.Hist
@@ -364,29 +364,38 @@ let test_snapshot_persists_latency_hists () =
     (Obs.Hist.sum (Engine.Counters.replan_hist (C.counters restored)))
 
 let test_snapshot_without_hists_still_loads () =
-  (* Version gate: files predating the histogram field (v1, older v2)
-     load with empty histograms, as before this PR. *)
+  (* The hist lines are optional: an increment without them loads with
+     empty histograms. *)
   let inst, log = churn_world 12 in
   let ctrl = C.create ~policy:(C.Every 16) inst in
   C.apply_all ctrl log;
   let text = Engine.Snapshot.save ctrl in
-  let body_lines =
-    match String.index_opt text '\n' with
-    | Some i ->
-        String.split_on_char '\n'
-          (String.sub text (i + 1) (String.length text - i - 1))
-    | None -> []
+  (* A snapshot is the magic line, one frame header and its body. *)
+  let line_end from = String.index_from text from '\n' in
+  let magic_end = line_end 0 in
+  let header_end = line_end (magic_end + 1) in
+  let kind, covers =
+    match
+      String.split_on_char ' '
+        (String.sub text (magic_end + 1) (header_end - magic_end - 1))
+    with
+    | kind :: covers :: _ -> (kind, covers)
+    | _ -> Alcotest.fail "bad frame header"
   in
-  let stripped =
-    List.filter
-      (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "hist "))
-      body_lines
+  let body =
+    String.sub text (header_end + 1) (String.length text - header_end - 1)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "hist "))
+    |> String.concat "\n"
   in
-  let v1_text =
-    "mmd-engine-snapshot v1\n" ^ String.concat "\n" stripped
+  let reframed =
+    Printf.sprintf "%s\n%s %s %d %s\n%s" (String.sub text 0 magic_end) kind covers
+      (String.length body)
+      (Prelude.Crc32.to_hex (Prelude.Crc32.digest body))
+      body
   in
   let restored =
-    match Engine.Snapshot.load_result v1_text with
+    match Engine.Snapshot.load_result reframed with
     | Ok c -> c
     | Error m -> failwith m
   in

@@ -675,7 +675,9 @@ let test_recovery_chooser () =
   let path = Filename.temp_file "replica" ".eng" in
   Engine.Snapshot.write_file path ctrl;
   check_bool "peek sees deltas_applied" true
-    (Engine.Snapshot.peek_deltas_applied path = Some (List.length log));
+    (match Engine.Checkpoint.peek path with
+    | Some (_, covered, 1) -> covered = List.length log
+    | _ -> false);
   let e = assess ~snapshot_path:path ~total_records:(List.length log + 5) () in
   Sys.remove path;
   if Sys.file_exists (Engine.Snapshot.previous_path path) then
