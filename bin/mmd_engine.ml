@@ -157,18 +157,18 @@ let primary_proc_run ~policy ~records ~endpoints ~wal_writer ~heartbeat_every
             (* The torn record is durable: it reaches the WAL before
                the half-frame hits the wire, so recovery must re-ship
                it to every survivor. *)
-            let _, line = log_record d in
-            Replica.Proc.write_torn_frame peers ~term ~line
+            let _, record = log_record d in
+            Replica.Proc.write_torn_frame peers ~term ~record
           end;
           Format.print_flush ();
           Unix.kill (Unix.getpid ()) Sys.sigkill
       | _ -> ());
-      let seq, line = log_record d in
+      let seq, record = log_record d in
       next_seq := seq + 1;
       ignore (C.apply ctrl d);
-      Hashtbl.replace history seq (false, line);
+      Hashtbl.replace history seq (false, record);
       last := seq;
-      Replica.Proc.ship peers ~term ~shock:false line;
+      Replica.Proc.ship peers ~term ~shock:false record;
       incr applied;
       if !applied mod hb_every = 0 then
         Replica.Proc.heartbeat peers ~term ~last_seq:!last ~tick:!applied)
@@ -354,7 +354,7 @@ let load_records o ?(already = 0) ?(note = ignore) view =
             List.iteri
               (fun i (q : Engine.Wal.quarantined) ->
                 if i < 10 then
-                  Format.printf "  line %d: %s@." q.Engine.Wal.line
+                  Format.printf "  offset %d: %s@." q.Engine.Wal.offset
                     q.Engine.Wal.reason)
               r.Engine.Wal.quarantined;
             if n > 10 then Format.printf "  ... and %d more@." (n - 10)
@@ -1068,7 +1068,10 @@ let open_wal o =
         if Sys.file_exists path then
           match Engine.Wal.recover_file path with
           | Ok r -> r.Engine.Wal.last_seq + 1
-          | Error _ -> 1
+          | Error msg ->
+              (* Appending would leave a log no reader accepts (a v1
+                 WAL, say). *)
+              failwith (Printf.sprintf "--wal-out %s: %s" path msg)
         else 1
       in
       Some (Engine.Wal.append_file ~next_seq path)

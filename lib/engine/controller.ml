@@ -156,6 +156,14 @@ let apply_batch ?on_applied t deltas =
         (fun () ->
           let joins = ref 0 and leaves = ref 0 in
           let costs = ref 0 and budgets = ref 0 in
+          (* A delta that raises ends the batch; the prefix before it
+             was applied and is counted like the one-at-a-time path
+             counts it. *)
+          Fun.protect
+            ~finally:(fun () ->
+              Counters.note_deltas t.counters ~joins:!joins ~leaves:!leaves
+                ~cost_changes:!costs ~budget_resizes:!budgets)
+          @@ fun () ->
           List.iter
             (fun d ->
               let applied = View.apply t.view d in
@@ -182,9 +190,7 @@ let apply_batch ?on_applied t deltas =
               t.deltas_applied <- t.deltas_applied + 1;
               t.since_replan <- t.since_replan + 1;
               maybe_replan t)
-            deltas;
-          Counters.note_deltas t.counters ~joins:!joins ~leaves:!leaves
-            ~cost_changes:!costs ~budget_resizes:!budgets)
+            deltas)
 
 type recovery = {
   evictions : int;

@@ -199,15 +199,10 @@ let parse_exn s pos len =
       User_join { utility_cap; capacity; interests = interests i [] }
   | kw -> fail "unknown keyword %S" kw
 
-let of_substring_result s ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Delta.of_substring_result";
-  match parse_exn s pos len with
+let of_string_result line =
+  match parse_exn line 0 (String.length line) with
   | d -> Ok d
   | exception Parse_error msg -> Error ("Delta.of_string: " ^ msg)
-
-let of_string_result line =
-  of_substring_result line ~pos:0 ~len:(String.length line)
 
 let of_string line =
   match of_string_result line with Ok d -> d | Error msg -> failwith msg

@@ -43,12 +43,6 @@ val to_string : t -> string
 val of_string_result : string -> (t, string) result
 (** Parse a single delta line; the error names the offending token. *)
 
-val of_substring_result : string -> pos:int -> len:int -> (t, string) result
-(** {!of_string_result} on [s.[pos .. pos+len-1]], without copying it
-    out: how a WAL record's payload is parsed in place.
-    @raise Invalid_argument on an out-of-bounds range (never on bad
-    bytes inside it). *)
-
 val of_string : string -> t
 (** [of_string_result] for the CLI boundary.
     @raise Failure on malformed input. *)

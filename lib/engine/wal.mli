@@ -1,74 +1,87 @@
 (** Write-ahead log for delta streams.
 
-    The plain {!Delta} text log is great for humans but fragile: one
-    malformed line kills the whole replay, and a crash mid-write leaves
-    a torn final record. The WAL wraps each delta line in a framed
-    record
+    The plain {!Delta} text log is the human input format; the WAL is
+    what the engine persists and ships. After a text magic line, every
+    delta is one binary record, written once and then logged, shipped
+    to followers, retransmitted and verified as the same bytes:
 
     {v
-    mmd-engine-wal v1
-    <seq> <crc32-hex> <delta-line>
+    mmd-engine-wal v2\n
+    [a7 57] [len: u24 LE] [len check] [crc32 of payload: u32 LE] [payload]
     ...
     v}
 
-    where [seq] numbers records from 1 and the CRC-32 covers
-    ["<seq> <delta-line>"], so a record replayed at the wrong position
-    is detected just like a flipped byte.
+    The payload holds the sequence number (from 1), a kind byte and the
+    delta's fields: ints as zigzag varints and floats as their raw
+    IEEE-754 bits, so [-0.], infinities, NaN payloads and subnormals
+    read back bit for bit. The CRC covers the sequence number, so a
+    record replayed at the wrong position is detected just like a
+    flipped byte.
 
-    {!recover_string} never raises on bad data: corrupted, truncated
-    or out-of-order records are {e quarantined} (skipped, with a
-    line-numbered reason) and recovery continues with the remaining
-    good records — the crash-recovery contract is "replay everything
-    that verifiably survived, report exactly what did not". *)
+    {!recover_string} never raises on bad data: a record that fails to
+    verify is {e quarantined} (skipped, with its byte offset and the
+    reason), recovery scans forward to the next offset where a whole
+    record verifies and continues from there. The crash-recovery
+    contract is "replay everything that verifiably survived, report
+    exactly what did not". *)
 
 val magic : string
+(** ["mmd-engine-wal v2"], the first line of every WAL this build
+    writes. *)
 
 val is_wal : string -> bool
-(** Does the text (or file content) start with the WAL magic line? *)
+(** Does the text (or file content) start with the magic line of any
+    WAL version? A WAL of another version is refused by {!recover_string}
+    rather than read as a plain delta log. *)
 
 val record_to_string : seq:int -> Delta.t -> string
-(** One framed record line, no trailing newline. *)
+(** One binary record.
+    @raise Invalid_argument when [seq < 1] or a join's loads do not
+    match its capacity arity (the text format cannot say that either). *)
 
 val record_of_string : string -> (int * Delta.t, string) result
-(** Parse and verify one record line; [Ok (seq, delta)] only when the
-    frame is well-formed {e and} the CRC matches {e and} the payload
-    parses. *)
+(** Verify and decode one whole record; [Ok (seq, delta)] only when
+    the header is sound {e and} the CRC matches {e and} the payload
+    decodes to exactly its length. *)
+
+val record_of_substring : string -> pos:int -> len:int -> (int * Delta.t, string) result
+(** {!record_of_string} on [s.[pos .. pos+len-1]], without copying it
+    out: how a follower decodes the record inside a shipped frame.
+    @raise Invalid_argument on an out-of-bounds range (never on bad
+    bytes inside it). *)
 
 val to_string : ?first_seq:int -> Delta.t list -> string
 (** Whole log: magic line plus one record per delta, sequence numbers
     from [first_seq] (default 1). *)
 
 type quarantined = {
-  line : int;  (** 1-based line number in the log file *)
+  offset : int;  (** byte offset of the damaged record in the log *)
   reason : string;
 }
 
 type recovery = {
   records : (int * Delta.t) list;  (** surviving [(seq, delta)], in file order *)
-  quarantined : quarantined list;  (** skipped records, in file order *)
+  quarantined : quarantined list;
+      (** one entry per record lost to damage (or replayed out of
+          order), in file order *)
   last_seq : int;  (** highest sequence number recovered; 0 when none *)
   torn_tail : bool;
-      (** the file ended mid-record (no trailing newline and the
-          partial line did not verify) — the signature of a crash
-          during an append *)
+      (** the file ended mid-record — the signature of a crash during
+          an append *)
 }
 
 val recover_string : string -> (recovery, string) result
 (** Recover every verifiable record. [Error] only when the text is not
-    a WAL at all (missing/garbled magic line); data damage after the
-    magic line is reported through [quarantined], never as [Error]. *)
-
-val recover_channel : in_channel -> (recovery, string) result
-(** {!recover_string} reading the channel in 64 KiB blocks and
-    verifying one line at a time: a long shipped log recovers in memory
-    proportional to its surviving records, never holding the whole
-    file as one string. Same result as the string path on the same
-    bytes, including quarantine and torn-tail classification. The
-    channel's position afterwards is unspecified (up to a block past
-    the last line examined). *)
+    a WAL this build reads (missing or garbled magic line, or the magic
+    of another version, which the message names); data damage after
+    the magic line is reported through [quarantined], never as
+    [Error]. *)
 
 val recover_file : string -> (recovery, string) result
-(** {!recover_channel} on a file; IO errors become [Error]. *)
+(** {!recover_string} on a file, read in 64 KiB blocks: a long shipped
+    log recovers in memory proportional to its surviving records, never
+    holding the whole file as one string. Same result as the string
+    path on the same bytes. IO errors become [Error]. *)
 
 val write_file : ?first_seq:int -> string -> Delta.t list -> unit
 (** Write a whole log crash-safely through {!Atomic_file.write}: tmp
@@ -91,7 +104,7 @@ val append : writer -> Delta.t -> int
     number assigned. *)
 
 val append_tee : ?flush:bool -> writer -> Delta.t -> int * string
-(** {!append}, additionally returning the exact framed line written —
+(** {!append}, additionally returning the exact record written —
     the tee point for replication: the primary ships the identical
     bytes it persisted, so a follower verifies the same CRC the local
     recovery would. [?flush] (default [true]) controls the per-record

@@ -103,13 +103,6 @@ let append_tee ?flush t delta =
 
 let append t delta = fst (append_tee t delta)
 
-(* One flush per batch; records land in segment order, rolling
-   mid-batch when a segment fills (the roll itself closes — and
-   thereby flushes — the sealed segment). *)
-let append_batch t deltas =
-  List.iter (fun d -> ignore (append_tee ~flush:false t d)) deltas;
-  match t.writer with Some w -> Wal.flush_writer w | None -> ()
-
 let flush t = match t.writer with Some w -> Wal.flush_writer w | None -> ()
 
 let close t =
@@ -156,7 +149,7 @@ let recover_dir dir =
                         if seq <= !last then
                           quarantined :=
                             ( base,
-                              { Wal.line = 0;
+                              { Wal.offset = 0;
                                 reason =
                                   Printf.sprintf
                                     "cross-segment sequence regression (%d \

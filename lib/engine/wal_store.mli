@@ -22,12 +22,8 @@ val append : t -> Delta.t -> int
     is full) and flush it; returns the global sequence number. *)
 
 val append_tee : ?flush:bool -> t -> Delta.t -> int * string
-(** {!append}, also returning the framed line written — same contract
-    as {!Wal.append_tee}, including [?flush]. *)
-
-val append_batch : t -> Delta.t list -> unit
-(** Append a batch with a single OS flush at the end. Bytes on disk
-    are identical to per-record appends. *)
+(** {!append}, also returning the record written — same contract as
+    {!Wal.append_tee}, including [?flush]. *)
 
 val flush : t -> unit
 val close : t -> unit

@@ -33,14 +33,12 @@ val version : int
 val header_length : int
 (** Bytes before the payload (11). *)
 
-val max_payload : int
-(** Hard cap on [len] (16 MiB). A length above this is treated as
-    framing corruption, not a real frame — it bounds how much memory a
-    desynced or hostile stream can make the decoder buffer. *)
-
 val encode : string -> string
 (** The framed bytes for one payload.
-    @raise Invalid_argument when the payload exceeds {!max_payload}. *)
+    @raise Invalid_argument when the payload exceeds 16 MiB, the cap
+    on [len]. A length above it is treated as framing corruption, not
+    a real frame — it bounds how much memory a desynced or hostile
+    stream can make the decoder buffer. *)
 
 val encoded_length : string -> int
 (** [header_length + String.length payload]. *)

@@ -5,14 +5,16 @@ module Wal = Engine.Wal
 
 module Frame = struct
   type t =
-    | Data of { term : int; line : string }
-    | Shock of { term : int; line : string }
+    | Data of { term : int; record : string }
+    | Shock of { term : int; record : string }
     | Heartbeat of { term : int; last_seq : int; tick : int }
     | Lease of { term : int; last_seq : int; successor : int }
 
   let to_string = function
-    | Data { term; line } -> String.concat "" [ "D "; string_of_int term; " "; line ]
-    | Shock { term; line } -> String.concat "" [ "S "; string_of_int term; " "; line ]
+    | Data { term; record } ->
+        String.concat "" [ "D "; string_of_int term; " "; record ]
+    | Shock { term; record } ->
+        String.concat "" [ "S "; string_of_int term; " "; record ]
     | Heartbeat { term; last_seq; tick } ->
         Printf.sprintf "H %d %d %d" term last_seq tick
     | Lease { term; last_seq; successor } ->
@@ -28,9 +30,9 @@ module Frame = struct
         | _ -> None)
     | _ -> None
 
-  (* "<tag> <term> <rest>"; [rest] may itself contain spaces and is
-     the only part copied out. *)
-  let of_string s =
+  (* [s] as "<tag> <term> <rest>": the tag's length, the term and the
+     offset where [rest] starts (past the end when there is none). *)
+  let split s =
     let n = String.length s in
     match String.index_opt s ' ' with
     | None -> Error "not a replication frame"
@@ -43,25 +45,34 @@ module Frame = struct
         let term_tok = String.sub s (i + 1) (j - i - 1) in
         match int_of_string_opt term_tok with
         | None -> Error (Printf.sprintf "bad term %S" term_tok)
-        | Some term -> (
-            let rest_len = max 0 (n - j - 1) in
-            let rest () =
-              if rest_len = 0 then "" else String.sub s (j + 1) rest_len
-            in
-            match String.sub s 0 i with
-            | "D" when rest_len > 0 -> Ok (Data { term; line = rest () })
-            | "S" when rest_len > 0 -> Ok (Shock { term; line = rest () })
-            | "H" -> (
-                match two_ints (rest ()) with
-                | Some (last_seq, tick) ->
-                    Ok (Heartbeat { term; last_seq; tick })
-                | None -> Error "bad heartbeat frame")
-            | "L" -> (
-                match two_ints (rest ()) with
-                | Some (last_seq, successor) ->
-                    Ok (Lease { term; last_seq; successor })
-                | None -> Error "bad lease frame")
-            | tag -> Error (Printf.sprintf "unknown frame tag %S" tag)))
+        | Some term -> Ok (i, term, j + 1))
+
+  let record_at s =
+    match split s with
+    | Ok (1, term, pos)
+      when pos < String.length s && (s.[0] = 'D' || s.[0] = 'S') ->
+        Some (s.[0] = 'S', term, pos)
+    | Ok _ | Error _ -> None
+
+  let of_string s =
+    match split s with
+    | Error _ as e -> e
+    | Ok (i, term, pos) -> (
+        let n = String.length s in
+        let rest () = if pos >= n then "" else String.sub s pos (n - pos) in
+        match String.sub s 0 i with
+        | "D" when pos < n -> Ok (Data { term; record = rest () })
+        | "S" when pos < n -> Ok (Shock { term; record = rest () })
+        | "H" -> (
+            match two_ints (rest ()) with
+            | Some (last_seq, tick) -> Ok (Heartbeat { term; last_seq; tick })
+            | None -> Error "bad heartbeat frame")
+        | "L" -> (
+            match two_ints (rest ()) with
+            | Some (last_seq, successor) ->
+                Ok (Lease { term; last_seq; successor })
+            | None -> Error "bad lease frame")
+        | tag -> Error (Printf.sprintf "unknown frame tag %S" tag))
 end
 
 (* ---------- Followers ---------- *)
@@ -117,7 +128,7 @@ type t = {
       (** replica 0's follower record, created the first time the
           initial primary is demoted by a planned handover *)
   history : (int, bool * string) Hashtbl.t;
-      (** the durable shipped log: seq -> (shock, framed WAL line) *)
+      (** the durable shipped log: seq -> (shock, WAL record bytes) *)
   mutable history_hi : int;
   wal : Wal.writer option;
   mutable partitioned_until : int;
@@ -242,11 +253,14 @@ let adopt_term f term =
     Hashtbl.reset f.pending
   end
 
-let ingest g f ~shock ~term line =
+(* The record is decoded inside the frame it arrived in. *)
+let ingest g f ~shock ~term frame ~pos =
   if term < f.fterm then Obs.Metrics.inc g.m_rejected
   else begin
     adopt_term f term;
-    match Wal.record_of_string line with
+    match
+      Wal.record_of_substring frame ~pos ~len:(String.length frame - pos)
+    with
     | Error _ ->
         (* CRC mismatch / truncated frame: drop it, the gap heals via
            retransmit at the next heartbeat. *)
@@ -261,43 +275,45 @@ let ingest g f ~shock ~term line =
   end
 
 let follower_recv g f frame =
-  match Frame.of_string frame with
-  | Error _ -> Obs.Metrics.inc g.m_rejected
-  | Ok (Frame.Data { term; line }) -> ingest g f ~shock:false ~term line
-  | Ok (Frame.Shock { term; line }) -> ingest g f ~shock:true ~term line
-  | Ok (Frame.Heartbeat { term; last_seq; tick = _ }) ->
-      if term >= f.fterm then begin
-        adopt_term f term;
-        f.hb_last_seq <- max f.hb_last_seq last_seq
-      end
-      else Obs.Metrics.inc g.m_rejected
-  | Ok (Frame.Lease { term; last_seq; successor = _ }) ->
-      (* The lease is the term-fence for a planned handover: adopting
-         its term makes every follower reject stale frames from the
-         demoted primary, exactly like a crash promotion's first
-         heartbeat. *)
-      if term >= f.fterm then begin
-        adopt_term f term;
-        f.hb_last_seq <- max f.hb_last_seq last_seq
-      end
-      else Obs.Metrics.inc g.m_rejected
+  match Frame.record_at frame with
+  | Some (shock, term, pos) -> ingest g f ~shock ~term frame ~pos
+  | None -> (
+      match Frame.of_string frame with
+      | Error _ -> Obs.Metrics.inc g.m_rejected
+      | Ok (Frame.Data _ | Frame.Shock _) -> () (* taken by [record_at] *)
+      | Ok (Frame.Heartbeat { term; last_seq; tick = _ }) ->
+          if term >= f.fterm then begin
+            adopt_term f term;
+            f.hb_last_seq <- max f.hb_last_seq last_seq
+          end
+          else Obs.Metrics.inc g.m_rejected
+      | Ok (Frame.Lease { term; last_seq; successor = _ }) ->
+          (* The lease is the term-fence for a planned handover:
+             adopting its term makes every follower reject stale
+             frames from the demoted primary, exactly like a crash
+             promotion's first heartbeat. *)
+          if term >= f.fterm then begin
+            adopt_term f term;
+            f.hb_last_seq <- max f.hb_last_seq last_seq
+          end
+          else Obs.Metrics.inc g.m_rejected)
 
 let drain_follower g f = List.iter (follower_recv g f) (Transport.drain f.tr)
 
 (* ---------- Heartbeats, retransmit, failure detection ---------- *)
 
-let record_frame g ~shock line =
+let record_frame g ~shock record =
   Frame.to_string
-    (if shock then Frame.Shock { term = g.term; line }
-     else Frame.Data { term = g.term; line })
+    (if shock then Frame.Shock { term = g.term; record }
+     else Frame.Data { term = g.term; record })
 
 let retransmit g f =
   for seq = f.acked + 1 to g.history_hi do
     if not (Hashtbl.mem f.pending seq) then
       match Hashtbl.find_opt g.history seq with
-      | Some (shock, line) ->
+      | Some (shock, record) ->
           Obs.Metrics.inc g.m_retransmits;
-          f.tr.Transport.send (record_frame g ~shock line)
+          f.tr.Transport.send (record_frame g ~shock record)
       | None -> ()
   done
 
@@ -360,8 +376,8 @@ let fail_over g =
         | Some (shock, d) -> follower_apply winner ~shock d
         | None -> (
             match Hashtbl.find_opt g.history seq with
-            | Some (shock, line) -> (
-                match Wal.record_of_string line with
+            | Some (shock, record) -> (
+                match Wal.record_of_string record with
                 | Ok (_, d) -> follower_apply winner ~shock d
                 | Error _ -> ())
             | None -> ()));
@@ -409,28 +425,28 @@ let tick g =
 let log_record ?flush g d =
   match g.wal with
   | Some w ->
-      let seq, line = Wal.append_tee ?flush w d in
+      let seq, record = Wal.append_tee ?flush w d in
       g.next_seq <- seq + 1;
-      (seq, line)
+      (seq, record)
   | None ->
       let seq = g.next_seq in
       g.next_seq <- seq + 1;
       (seq, Wal.record_to_string ~seq d)
 
-let ship g ~shock seq line =
-  Hashtbl.replace g.history seq (shock, line);
+let ship g ~shock seq record =
+  Hashtbl.replace g.history seq (shock, record);
   if seq > g.history_hi then g.history_hi <- seq;
   Obs.Metrics.inc g.m_shipped;
   (* One frame string for every follower: the links only read it. *)
-  let frame = record_frame g ~shock line in
+  let frame = record_frame g ~shock record in
   List.iter (fun f -> f.tr.Transport.send frame) (live_followers_list g)
 
 let apply ?flush g d =
   if not g.primary_alive then
     invalid_arg "Replica.Group.apply: primary is down (fail_over first)";
   let applied = C.apply g.primary d in
-  let seq, line = log_record ?flush g d in
-  ship g ~shock:false seq line;
+  let seq, record = log_record ?flush g d in
+  ship g ~shock:false seq record;
   tick g;
   applied
 
@@ -440,18 +456,20 @@ let flush_wal g = match g.wal with Some w -> Wal.flush_writer w | None -> ()
    ship, tick, in that order for every delta, so heartbeats, failure
    detection and failover fire at the same logical ticks as the
    one-at-a-time path — and amortizes only the WAL's OS flush over the
-   batch. Bytes on disk are identical. *)
+   batch. Bytes on disk are identical. A delta that raises ends the
+   batch, and the flush still runs: its prefix is already shipped, so
+   it must be on disk too. *)
 let apply_batch g deltas =
-  let results = List.map (fun d -> apply ~flush:false g d) deltas in
-  flush_wal g;
-  results
+  Fun.protect
+    ~finally:(fun () -> flush_wal g)
+    (fun () -> List.map (fun d -> apply ~flush:false g d) deltas)
 
 let absorb_shock g d =
   if not g.primary_alive then
     invalid_arg "Replica.Group.absorb_shock: primary is down (fail_over first)";
   let recovery = C.absorb_shock g.primary d in
-  let seq, line = log_record g d in
-  ship g ~shock:true seq line;
+  let seq, record = log_record g d in
+  ship g ~shock:true seq record;
   tick g;
   recovery
 
@@ -580,8 +598,8 @@ let restart_follower g id =
          recovery. *)
       for seq = 1 to g.history_hi do
         match Hashtbl.find_opt g.history seq with
-        | Some (shock, line) -> (
-            match Wal.record_of_string line with
+        | Some (shock, record) -> (
+            match Wal.record_of_string record with
             | Ok (_, d) ->
                 follower_apply f ~shock d;
                 f.acked <- seq

@@ -46,9 +46,10 @@
 
 module Frame : sig
   type t =
-    | Data of { term : int; line : string }
-        (** an ordinary record; [line] is the framed WAL record *)
-    | Shock of { term : int; line : string }
+    | Data of { term : int; record : string }
+        (** an ordinary record; [record] is the binary WAL record,
+            byte for byte as the primary logged it *)
+    | Shock of { term : int; record : string }
         (** a fault-injected record, applied via [absorb_shock] *)
     | Heartbeat of { term : int; last_seq : int; tick : int }
     | Lease of { term : int; last_seq : int; successor : int }
@@ -57,7 +58,15 @@ module Frame : sig
             term *)
 
   val to_string : t -> string
+  (** ["D <term> <record>"], ["S <term> <record>"], ["H <term> <last_seq>
+      <tick>"] or ["L <term> <last_seq> <successor>"]. *)
+
   val of_string : string -> (t, string) result
+
+  val record_at : string -> (bool * int * int) option
+  (** For a [Data] or [Shock] frame, [Some (shock, term, pos)] with the
+      record's bytes from [pos] to the end: what a follower decodes in
+      place, without copying the record out. *)
 end
 
 type config = {
@@ -209,7 +218,6 @@ val last_promote_seconds : t -> float
 (** Wall-clock time the most recent promotion took (drain + tail
     replay); 0 before any failover. *)
 
-val follower_ids : t -> int list
 val live_followers : t -> int list
 (** Follower ids currently alive and not promoted to primary. *)
 

@@ -60,10 +60,12 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
       Hashtbl.reset pending
     end
   in
-  let ingest ~shock ~term line =
+  let ingest ~shock ~term frame ~pos =
     if term >= !fterm then begin
       adopt term;
-      match Wal.record_of_string line with
+      match
+        Wal.record_of_substring frame ~pos ~len:(String.length frame - pos)
+      with
       | Error _ -> () (* CRC reject; the gap heals by retransmit *)
       | Ok (seq, d) ->
           if seq > !acked && not (Hashtbl.mem pending seq) then begin
@@ -105,24 +107,22 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
               try TS.send_frame fd ("X " ^ digest ctrl)
               with Unix.Unix_error _ -> connected := false)
           | TS.Frame payload -> (
-              match Group.Frame.of_string payload with
-              | Ok (Group.Frame.Data { term; line }) ->
-                  ingest ~shock:false ~term line
-              | Ok (Group.Frame.Shock { term; line }) ->
-                  ingest ~shock:true ~term line
-              | Ok (Group.Frame.Heartbeat { term; last_seq = _; tick = _ })
-                ->
-                  if term >= !fterm then begin
-                    adopt term;
-                    try
-                      TS.send_frame fd
-                        (Printf.sprintf "A %d" !acked)
-                    with Unix.Unix_error _ -> connected := false
-                  end
-              | Ok (Group.Frame.Lease { term; last_seq = _; successor = _ })
-                ->
-                  adopt term
-              | Error _ -> () (* not a frame we know; drop it *))
+              match Group.Frame.record_at payload with
+              | Some (shock, term, pos) -> ingest ~shock ~term payload ~pos
+              | None -> (
+                  match Group.Frame.of_string payload with
+                  | Ok (Group.Frame.Data _ | Group.Frame.Shock _) -> ()
+                  | Ok (Group.Frame.Heartbeat { term; last_seq = _; tick = _ })
+                    ->
+                      if term >= !fterm then begin
+                        adopt term;
+                        try TS.send_frame fd (Printf.sprintf "A %d" !acked)
+                        with Unix.Unix_error _ -> connected := false
+                      end
+                  | Ok (Group.Frame.Lease { term; last_seq = _; successor = _ })
+                    ->
+                      adopt term
+                  | Error _ -> () (* not a frame we know; drop it *)))
         done;
         TS.close_quiet fd
   done;
@@ -155,11 +155,11 @@ let peer_acked p = p.packed
 let send_quiet p payload =
   try TS.send_frame p.pfd payload with Unix.Unix_error _ -> ()
 
-let ship peers ~term ~shock line =
+let ship peers ~term ~shock record =
   let payload =
     Group.Frame.to_string
-      (if shock then Group.Frame.Shock { term; line }
-       else Group.Frame.Data { term; line })
+      (if shock then Group.Frame.Shock { term; record }
+       else Group.Frame.Data { term; record })
   in
   List.iter (fun p -> send_quiet p payload) peers
 
@@ -198,7 +198,7 @@ let catch_up ?(max_rounds = 64) peers ~term ~history ~last_seq =
       (fun p ->
         for seq = p.packed + 1 to last_seq do
           match Hashtbl.find_opt history seq with
-          | Some (shock, line) -> ship [ p ] ~term ~shock line
+          | Some (shock, record) -> ship [ p ] ~term ~shock record
           | None -> ()
         done)
       (behind ());
@@ -229,10 +229,10 @@ let quit_peers peers =
       TS.close_quiet p.pfd)
     peers
 
-let write_torn_frame peers ~term ~line =
+let write_torn_frame peers ~term ~record =
   let enc =
     Frame_codec.encode
-      (Group.Frame.to_string (Group.Frame.Data { term; line }))
+      (Group.Frame.to_string (Group.Frame.Data { term; record }))
   in
   let half = String.length enc / 2 in
   List.iter
@@ -265,8 +265,8 @@ let recover_and_verify ?(policy = C.Every 64) ~endpoints ~wal_path ~term inst
   | Ok r ->
       let records = r.Wal.records in
       let last_seq = List.fold_left (fun hi (s, _) -> max hi s) 0 records in
-      (* Re-frame the durable records byte-identically: the WAL line is
-         a pure function of (seq, delta). *)
+      (* Re-encode the durable records byte-identically: a WAL record
+         is a pure function of (seq, delta). *)
       let history = Hashtbl.create 1024 in
       List.iter
         (fun (seq, d) ->

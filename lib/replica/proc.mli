@@ -62,7 +62,7 @@ val connect_peers : Transport_socket.endpoint list -> peer list
 val peer_acked : peer -> int
 
 val ship : peer list -> term:int -> shock:bool -> string -> unit
-(** Send one framed WAL record to every peer (write errors are
+(** Send one WAL record, in a [Data] or [Shock] frame, to every peer (write errors are
     swallowed — a dead peer is the chaos being tested). *)
 
 val heartbeat : peer list -> term:int -> last_seq:int -> tick:int -> unit
@@ -84,7 +84,7 @@ val collect_digest : ?deadline_s:float -> peer -> string option
 val quit_peers : peer list -> unit
 (** Send ["Q"] and close the connections. *)
 
-val write_torn_frame : peer list -> term:int -> line:string -> unit
+val write_torn_frame : peer list -> term:int -> record:string -> unit
 (** Write exactly the first half of one encoded Data frame to every
     peer — the mid-frame kill: the caller SIGKILLs itself right after,
     leaving a torn frame on every wire. *)

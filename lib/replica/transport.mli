@@ -51,9 +51,6 @@ type stats = {
   resets : int;
 }
 
-val no_stats : stats
-(** All-zero counters. *)
-
 val stats_total : stats -> int
 (** Sum of every counter — faults applied over the link's lifetime. *)
 

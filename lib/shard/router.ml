@@ -245,8 +245,9 @@ let flush_wals t =
    disk (and replication frames shipped) are identical to the
    one-at-a-time path. *)
 let apply_batch t ds =
-  List.iter (fun d -> ignore (apply_opt ~flush:false t d)) ds;
-  flush_wals t
+  Fun.protect
+    ~finally:(fun () -> flush_wals t)
+    (fun () -> List.iter (fun d -> ignore (apply_opt ~flush:false t d)) ds)
 
 let apply_all t ds = List.iter (fun d -> ignore (apply t d)) ds
 

@@ -131,6 +131,30 @@ let test_mid_batch_abort_count () =
               "exit 124" ])
         [ "1"; "7"; "64" ])
 
+(* A v1 WAL is still recognised as a WAL, so it is refused by its
+   magic instead of being parsed as a text delta log. *)
+let test_v1_wal_refused () =
+  with_instance (fun dir ->
+      Out_channel.with_open_bin (Filename.concat dir "v1.wal") (fun oc ->
+          output_string oc
+            (Test_replay_pins.read_file (Test_replay_pins.golden "codec.wal")));
+      let out =
+        Test_replay_pins.transcript ~dir [ "TMP/inst.mmd"; "-d"; "TMP/v1.wal" ]
+      in
+      check_bool "names the v1 magic" true (contains out "mmd-engine-wal v1");
+      check_bool "exits non-zero" false (contains out "exit 0");
+      (* Nor is one appended to: v2 records behind a v1 magic would
+         leave a log no reader accepts. *)
+      let out =
+        Test_replay_pins.transcript ~dir
+          [ "TMP/inst.mmd"; "--gen-deltas"; "10"; "--wal-out"; "TMP/v1.wal" ]
+      in
+      check_bool "--wal-out names the v1 magic" true (contains out "mmd-engine-wal v1");
+      check_bool "--wal-out exits non-zero" false (contains out "exit 0");
+      check_bool "the v1 file is left as it was" true
+        (Test_replay_pins.read_file (Filename.concat dir "v1.wal")
+        = Test_replay_pins.read_file (Test_replay_pins.golden "codec.wal")))
+
 let suite =
   [ Alcotest.test_case "flags a mode does not read are refused" `Quick
       test_unread_flags_refused;
@@ -139,5 +163,6 @@ let suite =
     Alcotest.test_case "--trace-out honoured in every mode" `Quick
       test_trace_out_every_mode;
     Alcotest.test_case "heartbeat config built once" `Quick test_heartbeat_config;
+    Alcotest.test_case "a v1 WAL is refused by name" `Quick test_v1_wal_refused;
     Alcotest.test_case "mid-batch abort reports one position" `Quick
       test_mid_batch_abort_count ]

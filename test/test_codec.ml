@@ -1,13 +1,13 @@
 (* Delta, WAL and frame codecs.
 
-   The encoders must keep writing exactly the bytes of the Printf-based
-   encoder they replaced, and the parsers must keep accepting the same
-   language with the same error messages: WAL files and shipped records
-   written by older builds stay readable, and a follower verifies the
-   very bytes its primary logged. The reference implementations below
-   are copies of the original code, kept here as oracles only. Every
-   decoder of untrusted bytes — engine state files included — must
-   return [Ok] or [Error], never raise. *)
+   The delta text encoder must keep writing exactly the bytes of the
+   Printf-based encoder it replaced, and the text parser must keep
+   accepting the same language with the same error messages. The
+   binary WAL record must match a plain reference spelling of its
+   layout and read back every delta bit for bit; a v1 WAL is refused
+   by name. The reference implementations below are oracles only.
+   Every decoder of untrusted bytes — engine state files included —
+   must return [Ok] or [Error], never raise. *)
 
 open Helpers
 module D = Engine.Delta
@@ -73,11 +73,6 @@ module Ref = struct
               loads)
           interests;
         Buffer.contents buf
-
-  let record_to_string ~seq d =
-    let payload = delta_to_string d in
-    let body = Printf.sprintf "%d %s" seq payload in
-    Printf.sprintf "%d %s %s" seq (Printf.sprintf "%08lx" (crc body)) payload
 
   exception Parse_error of string
 
@@ -182,8 +177,8 @@ module Ref = struct
         | None -> Error (Printf.sprintf "bad term %S" term_tok)
         | Some term -> (
             match tag with
-            | "D" when rest <> "" -> Ok (G.Frame.Data { term; line = rest })
-            | "S" when rest <> "" -> Ok (G.Frame.Shock { term; line = rest })
+            | "D" when rest <> "" -> Ok (G.Frame.Data { term; record = rest })
+            | "S" when rest <> "" -> Ok (G.Frame.Shock { term; record = rest })
             | "H" -> (
                 match two_ints rest with
                 | Some (last_seq, tick) ->
@@ -196,34 +191,143 @@ module Ref = struct
                 | None -> Error "bad lease frame")
             | _ -> Error (Printf.sprintf "unknown frame tag %S" tag)))
 
-  let record_of_string line =
-    match String.index_opt line ' ' with
-    | None -> Error "not a WAL record (no sequence field)"
-    | Some i -> (
-        let seq_tok = String.sub line 0 i in
-        match int_of_string_opt seq_tok with
-        | None -> Error (Printf.sprintf "bad sequence number %S" seq_tok)
-        | Some seq when seq < 1 ->
-            Error (Printf.sprintf "bad sequence number %S" seq_tok)
-        | Some seq -> (
-            let rest = String.sub line (i + 1) (String.length line - i - 1) in
-            match String.index_opt rest ' ' with
-            | None -> Error "not a WAL record (no checksum field)"
-            | Some j -> (
-                let crc_tok = String.sub rest 0 j in
-                let payload =
-                  String.sub rest (j + 1) (String.length rest - j - 1)
-                in
-                match Crc32.of_hex crc_tok with
-                | None -> Error (Printf.sprintf "bad checksum field %S" crc_tok)
-                | Some stored ->
-                    let actual = crc (Printf.sprintf "%d %s" seq payload) in
-                    if actual <> stored then
-                      Error
-                        (Printf.sprintf "checksum mismatch (stored %s, actual %s)"
-                           crc_tok (Printf.sprintf "%08lx" actual))
-                    else
-                      Result.map (fun d -> (seq, d)) (of_string_result payload))))
+  (* The v2 record, spelled out field by field from the layout in
+     docs/INTERNALS.md. *)
+  let varint buf z =
+    let rec go z =
+      if z lsr 7 = 0 then Buffer.add_char buf (Char.chr z)
+      else begin
+        Buffer.add_char buf (Char.chr (z land 0x7f lor 0x80));
+        go (z lsr 7)
+      end
+    in
+    go z
+
+  (* Wrapping arithmetic: 2n for n >= 0, -2n-1 below, read unsigned. *)
+  let zigzag n = if n >= 0 then 2 * n else (-2 * n) - 1
+  let f64 buf x = Buffer.add_int64_le buf (Int64.bits_of_float x)
+
+  let f64s buf xs =
+    varint buf (Array.length xs);
+    Array.iter (f64 buf) xs
+
+  let payload ~seq d =
+    let buf = Buffer.create 64 in
+    varint buf seq;
+    (match d with
+    | D.User_join { utility_cap; capacity; interests } ->
+        Buffer.add_char buf '\000';
+        f64 buf utility_cap;
+        f64s buf capacity;
+        varint buf (List.length interests);
+        List.iter
+          (fun (s, w, loads) ->
+            varint buf (zigzag s);
+            f64 buf w;
+            Array.iter (f64 buf) loads)
+          interests
+    | D.User_leave slot ->
+        Buffer.add_char buf '\001';
+        varint buf (zigzag slot)
+    | D.Stream_cost_change { stream; costs } ->
+        Buffer.add_char buf '\002';
+        varint buf (zigzag stream);
+        f64s buf costs
+    | D.Budget_resize budgets ->
+        Buffer.add_char buf '\003';
+        f64s buf budgets);
+    Buffer.contents buf
+
+  (* The header in front of a payload. *)
+  let seal p =
+    let len = String.length p in
+    let l0 = len land 0xff and l1 = (len lsr 8) land 0xff and l2 = len lsr 16 in
+    let buf = Buffer.create (len + 10) in
+    Buffer.add_string buf "\xa7W";
+    List.iter (fun b -> Buffer.add_char buf (Char.chr b))
+      [ l0; l1; l2; (0xa5 + l0 + (3 * l1) + (5 * l2)) land 0xff ];
+    Buffer.add_int32_le buf (crc p);
+    Buffer.add_string buf p;
+    Buffer.contents buf
+
+  let record_to_string ~seq d = seal (payload ~seq d)
+
+  let wal_to_string ~first_seq deltas =
+    String.concat ""
+      ("mmd-engine-wal v2\n"
+      :: List.mapi (fun i d -> record_to_string ~seq:(first_seq + i) d) deltas)
+
+  exception Bad
+
+  (* Reads the record field by field; any inconsistency is [None]. *)
+  let record_of_string s =
+    let n = String.length s in
+    let at i = Char.code s.[i] in
+    try
+      if n < 10 || String.sub s 0 2 <> "\xa7W" then raise Bad;
+      let len = at 2 + (at 3 lsl 8) + (at 4 lsl 16) in
+      if at 5 <> (0xa5 + at 2 + (3 * at 3) + (5 * at 4)) land 0xff then raise Bad;
+      if n <> 10 + len then raise Bad;
+      let p = String.sub s 10 len in
+      if crc p <> String.get_int32_le s 6 then raise Bad;
+      let pos = ref 0 in
+      let byte () =
+        if !pos >= len then raise Bad;
+        incr pos;
+        Char.code p.[!pos - 1]
+      in
+      let rec varint shift =
+        let b = byte () in
+        let v = (b land 0x7f) lsl shift in
+        if b land 0x80 = 0 then if b = 0 && shift > 0 then raise Bad else v
+        else if shift = 56 then raise Bad
+        else v lor varint (shift + 7)
+      in
+      let count () =
+        let c = varint 0 in
+        if c < 0 then raise Bad else c
+      in
+      let sint () =
+        let z = varint 0 in
+        if z land 1 = 0 then z lsr 1 else -(z lsr 1) - 1
+      in
+      let float () =
+        if !pos + 8 > len then raise Bad;
+        pos := !pos + 8;
+        Int64.float_of_bits (String.get_int64_le p (!pos - 8))
+      in
+      let floats k =
+        let l = ref [] in
+        for _ = 1 to k do
+          l := float () :: !l
+        done;
+        Array.of_list (List.rev !l)
+      in
+      let seq = varint 0 in
+      if seq < 1 then raise Bad;
+      let d =
+        match byte () with
+        | 0 ->
+            let utility_cap = float () in
+            let capacity = floats (count ()) in
+            let k = count () in
+            let l = ref [] in
+            for _ = 1 to k do
+              let s = sint () in
+              let w = float () in
+              l := (s, w, floats (Array.length capacity)) :: !l
+            done;
+            D.User_join { utility_cap; capacity; interests = List.rev !l }
+        | 1 -> D.User_leave (sint ())
+        | 2 ->
+            let stream = sint () in
+            D.Stream_cost_change { stream; costs = floats (count ()) }
+        | 3 -> D.Budget_resize (floats (count ()))
+        | _ -> raise Bad
+      in
+      if !pos <> len then raise Bad;
+      Some (seq, d)
+    with Bad -> None
 end
 
 (* ---------- Generators ---------- *)
@@ -363,6 +467,13 @@ let encoder_prop seed =
       && W.record_to_string ~seq d = Ref.record_to_string ~seq d)
     (List.init 20 Fun.id)
 
+let record_roundtrips ~seq d =
+  let bytes = W.record_to_string ~seq d in
+  match W.record_of_string bytes with
+  | Ok (seq', d') ->
+      seq' = seq && delta_bits_eq d d' && W.record_to_string ~seq d' = bytes
+  | Error _ -> false
+
 let test_encoder_special_floats () =
   Array.iter
     (fun x ->
@@ -373,14 +484,43 @@ let test_encoder_special_floats () =
       Alcotest.(check string)
         (Printf.sprintf "record %h" x)
         (Ref.record_to_string ~seq:7 d)
-        (W.record_to_string ~seq:7 d))
+        (W.record_to_string ~seq:7 d);
+      check_bool (Printf.sprintf "record %h round-trips" x) true
+        (record_roundtrips ~seq:7 d))
     special_floats;
-  (* Empty arrays do not parse back, but their bytes are pinned too. *)
+  (* Empty arrays do not parse back as text, but their bytes are pinned
+     too, and a record carries them exactly. *)
   List.iter
-    (fun d -> Alcotest.(check string) "empty" (Ref.delta_to_string d) (D.to_string d))
+    (fun d ->
+      Alcotest.(check string) "empty" (Ref.delta_to_string d) (D.to_string d);
+      check_bool "empty record round-trips" true (record_roundtrips ~seq:1 d))
     [ D.Budget_resize [||];
       D.Stream_cost_change { stream = 3; costs = [||] };
-      D.User_join { utility_cap = 1.; capacity = [||]; interests = [] } ]
+      D.User_join { utility_cap = 1.; capacity = [||]; interests = [] } ];
+  List.iter
+    (fun i ->
+      check_bool (Printf.sprintf "int %d round-trips" i) true
+        (record_roundtrips ~seq:max_int (D.User_leave i)
+        && record_roundtrips ~seq:1 (D.Stream_cost_change { stream = i; costs = [| -0. |] })))
+    [ 0; 1; -1; -2; 63; -64; 64; max_int; min_int; max_int - 1; min_int + 1 ]
+
+(* Random deltas, special floats and extreme ints included, through
+   one record and through a whole log. *)
+let roundtrip_prop seed =
+  let rng = Rng.create seed in
+  let deltas = List.init 8 (fun _ -> rand_delta rng) in
+  let first_seq = 1 + Rng.int rng (if Rng.bool rng then 1000 else max_int - 16) in
+  List.for_all (record_roundtrips ~seq:first_seq) deltas
+  &&
+  match W.recover_string (W.to_string ~first_seq deltas) with
+  | Ok r ->
+      r.W.quarantined = [] && (not r.W.torn_tail)
+      && List.length r.W.records = List.length deltas
+      && List.for_all2
+           (fun (seq, d) (i, d') -> seq = first_seq + i && delta_bits_eq d d')
+           r.W.records
+           (List.mapi (fun i d -> (i, d)) deltas)
+  | Error _ -> false
 
 (* ---------- Parser differential ---------- *)
 
@@ -397,10 +537,10 @@ let same_frame_verdict s =
   | r -> r = Ref.frame_of_string s
   | exception _ -> false
 
-let same_record_verdict line =
-  match (W.record_of_string line, Ref.record_of_string line) with
-  | Ok (s, a), Ok (s', b) -> s = s' && delta_bits_eq a b
-  | Error a, Error b -> a = b
+let same_record_verdict bytes =
+  match (W.record_of_string bytes, Ref.record_of_string bytes) with
+  | Ok (s, a), Some (s', b) -> s = s' && delta_bits_eq a b
+  | Error _, None -> true
   | _ -> false
 
 let mutated rng s =
@@ -410,21 +550,16 @@ let mutated rng s =
   done;
   !m
 
-(* A record whose sequence field is rewritten in another integer form
-   but whose CRC is made to match: both decoders must accept it at the
-   same seq. *)
-let reframed rng line =
-  match String.index_opt line ' ' with
-  | None -> line
-  | Some i ->
-      let seq = String.sub line 0 i in
-      let form = [| "0" ^ seq; "+" ^ seq; "0x" ^ Printf.sprintf "%x" (int_of_string seq); "-" ^ seq |] in
-      let tok = form.(Rng.int rng (Array.length form)) in
-      let payload = String.sub line (i + 10) (String.length line - i - 10) in
-      let body_seq = match int_of_string_opt tok with Some v -> v | None -> 0 in
-      Printf.sprintf "%s %08lx %s" tok
-        (Ref.crc (Printf.sprintf "%d %s" body_seq payload))
-        payload
+(* A record whose payload is damaged and then sealed again with a
+   matching length and CRC, so the damage reaches the payload
+   decoders instead of stopping at the checksum. *)
+let resealed rng record =
+  let p = String.sub record 10 (String.length record - 10) in
+  Ref.seal
+    (match Rng.int rng 3 with
+    | 0 -> flip_bit rng p
+    | 1 -> String.sub p 0 (Rng.int rng (String.length p + 1))
+    | _ -> mutated rng p)
 
 let parser_prop seed =
   let rng = Rng.create seed in
@@ -441,7 +576,7 @@ let parser_prop seed =
       && same_record_verdict record
       && same_record_verdict (mutated rng record)
       && same_record_verdict (flip_bit rng record)
-      && same_record_verdict (reframed rng record))
+      && same_record_verdict (resealed rng record))
     (List.init 20 Fun.id)
 
 let test_parser_error_order () =
@@ -491,9 +626,11 @@ let crc_prop seed =
 
 (* ---------- Golden WAL ---------- *)
 
-(* test/golden/codec.wal was written by the Printf-based encoder; the
-   current one must reproduce it byte for byte, and recovery must read
-   back the same deltas. *)
+(* test/golden/codec_v2.wal was written by this encoder from these
+   deltas (first seq 41); the encoder and the reference spelling must
+   both reproduce it byte for byte, and recovery must read back the
+   same deltas. test/golden/codec.wal holds the same deltas as a v1
+   WAL, which this build must refuse by name. *)
 let golden_deltas =
   [ D.User_join
       { utility_cap = infinity;
@@ -516,8 +653,10 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_golden_wal () =
-  let golden = read_file "golden/codec.wal" in
+  let golden = read_file "golden/codec_v2.wal" in
   Alcotest.(check string) "encoder bytes" golden (W.to_string ~first_seq:41 golden_deltas);
+  Alcotest.(check string) "reference bytes" golden
+    (Ref.wal_to_string ~first_seq:41 golden_deltas);
   match W.recover_string golden with
   | Error msg -> Alcotest.fail msg
   | Ok r ->
@@ -527,6 +666,16 @@ let test_golden_wal () =
         (List.for_all2
            (fun (_, d) d' -> delta_bits_eq d d')
            r.W.records golden_deltas)
+
+let test_v1_wal_refused () =
+  let v1 = read_file "golden/codec.wal" in
+  check_bool "a v1 WAL is a WAL" true (W.is_wal v1);
+  let refused what = function
+    | Error msg -> check_bool (what ^ " names the v1 magic") true (contains msg "mmd-engine-wal v1")
+    | Ok _ -> Alcotest.failf "%s read a v1 WAL" what
+  in
+  refused "recover_string" (W.recover_string v1);
+  refused "recover_file" (W.recover_file "golden/codec.wal")
 
 (* ---------- Untrusted decoders never raise ---------- *)
 
@@ -551,19 +700,38 @@ let decode_frames bytes =
   in
   go 16
 
+(* How a follower reads a frame: a record decoded in place, or a
+   control frame. *)
+let decode_frame frame =
+  match G.Frame.record_at frame with
+  | Some (_, _, pos) ->
+      ignore (W.record_of_substring frame ~pos ~len:(String.length frame - pos))
+  | None -> ignore (G.Frame.of_string frame)
+
 let never_raise_prop seed =
   let rng = Rng.create seed in
   let d = rand_delta rng in
   let seq = 1 + Rng.int rng 1000 in
   let record = W.record_to_string ~seq d in
-  let frame = G.Frame.to_string (G.Frame.Data { term = Rng.int rng 9; line = record }) in
+  let frame = G.Frame.to_string (G.Frame.Data { term = Rng.int rng 9; record }) in
   let hb = G.Frame.to_string (G.Frame.Heartbeat { term = 1; last_seq = seq; tick = 3 }) in
   let log = W.to_string [ d; rand_delta rng; rand_delta rng ] in
   let wire = FC.encode frame ^ FC.encode hb in
+  let cut s = String.sub s 0 (Rng.int rng (String.length s + 1)) in
+  let in_place s =
+    let pos = Rng.int rng (String.length s + 1) in
+    W.record_of_substring s ~pos ~len:(Rng.int rng (String.length s - pos + 1))
+  in
   List.for_all (no_raise D.of_string_result) (hostile_variants rng (D.to_string d))
-  && List.for_all (no_raise W.record_of_string) (hostile_variants rng record)
-  && List.for_all (no_raise W.recover_string) (hostile_variants rng log)
+  && List.for_all (no_raise W.record_of_string)
+       (resealed rng record :: cut record :: hostile_variants rng record)
+  && List.for_all (no_raise in_place) (hostile_variants rng record)
+  && List.for_all (no_raise W.recover_string)
+       (cut log :: hostile_variants rng log)
   && no_raise W.recover_string (W.magic ^ "\n" ^ random_bytes rng 200)
+  && no_raise W.recover_string (W.magic ^ "\n" ^ resealed rng record ^ record)
+  && List.for_all (no_raise decode_frame)
+       (frame :: cut frame :: hostile_variants rng frame)
   && List.for_all same_frame_verdict (frame :: hostile_variants rng frame)
   && List.for_all same_frame_verdict (hb :: hostile_variants rng hb)
   && List.for_all (no_raise decode_frames) (hostile_variants rng wire)
@@ -714,8 +882,10 @@ let test_state_truncations () =
   | Ok _ -> Alcotest.fail "a chain with no whole frame recovered"
 
 let suite =
-  [ qtest ~count:200 "delta and record encoders match the Printf reference"
+  [ qtest ~count:200 "delta and record encoders match their references"
       QCheck2.Gen.(int_range 0 1_000_000) encoder_prop;
+    qtest ~count:300 "WAL records round-trip bit for bit"
+      QCheck2.Gen.(int_range 0 1_000_000) roundtrip_prop;
     Alcotest.test_case "encoders on special floats" `Quick
       test_encoder_special_floats;
     qtest ~count:300 "delta and record parsers agree with the reference"
@@ -728,6 +898,7 @@ let suite =
       QCheck2.Gen.(int_range 0 1_000_000) crc_prop;
     Alcotest.test_case "golden WAL reproduced byte for byte" `Quick
       test_golden_wal;
+    Alcotest.test_case "v1 WAL refused by name" `Quick test_v1_wal_refused;
     qtest ~count:300 "untrusted decoders never raise"
       QCheck2.Gen.(int_range 0 1_000_000) never_raise_prop;
     qtest ~count:300 "engine state decoders never raise"

@@ -61,8 +61,8 @@ let policies = [ C.Every 8; C.Every 32; C.Drift 0.05; C.Manual ]
 
 let test_frame_roundtrip () =
   let cases =
-    [ G.Frame.Data { term = 0; line = W.record_to_string ~seq:1 (D.User_leave 3) };
-      G.Frame.Shock { term = 7; line = W.record_to_string ~seq:42 (D.Budget_resize [| 1.5; infinity |]) };
+    [ G.Frame.Data { term = 0; record = W.record_to_string ~seq:1 (D.User_leave 3) };
+      G.Frame.Shock { term = 7; record = W.record_to_string ~seq:42 (D.Budget_resize [| 1.5; infinity |]) };
       G.Frame.Heartbeat { term = 3; last_seq = 99; tick = 1234 } ]
   in
   List.iter
@@ -626,7 +626,7 @@ let streaming_recovery_prop seed =
   let _, log = world seed in
   (* Even seeds repeat the log past the channel reader's 64 KiB block,
      so records straddle block boundaries. *)
-  let log = if seed mod 2 = 0 then List.concat (List.init 12 (fun _ -> log)) else log in
+  let log = if seed mod 2 = 0 then List.concat (List.init 24 (fun _ -> log)) else log in
   let rng = Prelude.Rng.create (seed + 77) in
   let text = damage_wal rng (W.to_string log) in
   let path = Filename.temp_file "replica" ".wal" in
@@ -644,6 +644,50 @@ let qcheck_streaming_recovery =
   qtest ~count:60 "wal: recover_file ≡ recover_string on damaged logs"
     QCheck2.Gen.(int_range 1 10_000)
     streaming_recovery_prop
+
+(* ---------- Aborted batches ---------- *)
+
+(* Equal reports, wall-clock latency summaries aside ([compare], as
+   an empty summary holds NaN). *)
+let same_counts a b =
+  let a = C.report a and b = C.report b in
+  compare
+    { a with
+      Engine.Counters.replan_latency = b.Engine.Counters.replan_latency;
+      recovery_latency = b.recovery_latency }
+    b
+  = 0
+
+(* The third delta leaves a slot that never existed, so the batch dies
+   after applying (and, replicated, shipping) its first two. Those two
+   must be on disk without a further flush and counted as the
+   one-at-a-time path counts them. *)
+let test_aborted_batch_prefix () =
+  let inst, log = world 11 in
+  let batch = [ List.nth log 0; List.nth log 1; D.User_leave 9999 ] in
+  let one_at_a_time = C.create inst in
+  (try List.iter (fun d -> ignore (C.apply one_at_a_time d)) batch
+   with Invalid_argument _ -> ());
+  let raises f =
+    match f () with
+    | _ -> Alcotest.fail "the batch did not raise"
+    | exception Invalid_argument _ -> ()
+  in
+  let ctrl = C.create inst in
+  raises (fun () -> C.apply_batch ctrl batch);
+  check_bool "controller counts the prefix" true (same_counts ctrl one_at_a_time);
+  let path = Filename.temp_file "replica" ".wal" in
+  Sys.remove path;
+  let wal = W.append_file path in
+  let g = G.create ~wal ~replicas:2 inst in
+  raises (fun () -> G.apply_batch g batch);
+  (match W.recover_file path with
+  | Ok r -> check_int "the prefix is on disk" 2 (List.length r.W.records)
+  | Error msg -> Alcotest.fail msg);
+  check_bool "group counts the prefix" true (same_counts (G.primary g) one_at_a_time);
+  W.close wal;
+  G.close g;
+  Sys.remove path
 
 (* ---------- Recovery path chooser (satellite) ---------- *)
 
@@ -713,5 +757,7 @@ let suite =
     Alcotest.test_case "lag visible in prometheus" `Quick
       test_lag_visible_in_prometheus;
     qcheck_streaming_recovery;
+    Alcotest.test_case "aborted batch keeps its prefix" `Quick
+      test_aborted_batch_prefix;
     Alcotest.test_case "recovery path chooser" `Quick test_recovery_chooser ]
   @ Queue_matrix.suite

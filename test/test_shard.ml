@@ -303,6 +303,38 @@ let qcheck_sharded_recovery =
       (try Unix.rmdir dir with Unix.Unix_error _ -> ());
       !ok)
 
+(* A batch that dies on its third delta (a leave of a slot that never
+   existed) has applied and logged its first two: they are on disk
+   without a further flush. *)
+let test_aborted_batch_prefix () =
+  let inst, log = world 11 in
+  let batch = [ List.nth log 0; List.nth log 1; D.User_leave 9999 ] in
+  let map = SM.create ~tags:[| "a"; "b" |] () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "vdmc-shard-abort-%d" (Unix.getpid ()))
+  in
+  let router = R.create ~wal_dir:dir ~map inst in
+  (match R.apply_batch router batch with
+  | () -> Alcotest.fail "the batch did not raise"
+  | exception Invalid_argument _ -> ());
+  let one_at_a_time = R.create ~map inst in
+  (try List.iter (fun d -> ignore (R.apply one_at_a_time d)) batch
+   with Invalid_argument _ -> ());
+  for i = 0 to 1 do
+    let path = Filename.concat dir (Printf.sprintf "shard-%d.wal" i) in
+    (match Engine.Wal.recover_file path with
+    | Ok r ->
+        check_int
+          (Printf.sprintf "shard %d prefix on disk" i)
+          (Engine.Counters.deltas (C.counters (R.controller one_at_a_time i)))
+          (List.length r.Engine.Wal.records)
+    | Error msg -> Alcotest.fail msg);
+    Sys.remove path
+  done;
+  R.close router;
+  (try Unix.rmdir dir with Unix.Unix_error _ -> ())
+
 (* ---------- Cross-shard aggregation ---------- *)
 
 let test_aggregated_report () =
@@ -370,6 +402,8 @@ let suite =
     qcheck_multi_shard_invariants;
     qcheck_rebalance_moves_bounded;
     qcheck_sharded_recovery;
+    Alcotest.test_case "router: aborted batch keeps its prefix on disk" `Quick
+      test_aborted_batch_prefix;
     Alcotest.test_case "cross-shard aggregation" `Quick test_aggregated_report;
     Alcotest.test_case "labeled metrics merge" `Quick
       test_labeled_metrics_merge ]
