@@ -247,12 +247,13 @@ let run () =
           Array.sort compare walls;
           (Option.get !out, walls.(recovery_runs / 2))
         in
+        let recover_store () =
+          match WS.recover_dir dir with
+          | Ok r -> r
+          | Error msg -> failwith msg
+        in
         let store_tail c covered =
-          let records =
-            match WS.recover_dir dir with
-            | Ok r -> r.WS.records
-            | Error msg -> failwith msg
-          in
+          let records = (recover_store ()).WS.records in
           List.iter
             (fun (seq, d) -> if seq > covered then ignore (C.apply c d))
             records;
@@ -269,30 +270,29 @@ let run () =
               List.iter (fun (_, d) -> ignore (C.apply c d)) records;
               c)
         in
-        let snap_restored, snap_seconds =
-          timed_median (fun () ->
-              let c, _gen =
-                match S.read_file_result snap_path with
-                | Ok r -> r
-                | Error msg -> failwith msg
-              in
-              store_tail c (C.deltas_applied c))
+        (* A snapshot is a chain of one full increment: one reader. *)
+        let from_state path () =
+          match K.recover ~path with
+          | Ok r -> store_tail r.K.ctrl r.K.covered
+          | Error msg -> failwith msg
         in
+        let snap_restored, snap_seconds = timed_median (from_state snap_path) in
         let chain_restored, chain_seconds =
-          timed_median (fun () ->
-              let r =
-                match K.recover ~path:chain_path with
-                | Ok r -> r
-                | Error msg -> failwith msg
-              in
-              store_tail r.K.ctrl r.K.covered)
+          timed_median (from_state chain_path)
         in
-        let est =
-          Engine.Recovery.assess ~chain_path ~snapshot_path:snap_path
-            ~total_records:crash_at ()
+        (* The chooser column is the start a real restart takes: the
+           same call the CLI makes, on the same disk state. *)
+        let opened =
+          match
+            Engine.Recovery.open_ ~policy ~instance:inst ~snapshot:snap_path
+              ~chain:chain_path ~total_records:crash_at
+              ~first_seq:(recover_store ()).WS.first_seq ()
+          with
+          | Ok r -> r
+          | Error msg -> failwith msg
         in
         let chosen_seconds =
-          match est.Engine.Recovery.choice with
+          match opened.Engine.Recovery.choice with
           | Engine.Recovery.Chain_tail -> chain_seconds
           | Engine.Recovery.Snapshot_tail -> snap_seconds
           | Engine.Recovery.Full_replay -> full_seconds
@@ -305,8 +305,15 @@ let run () =
           && Mmd.Io.assignment_to_string (C.plan c)
              = Mmd.Io.assignment_to_string (C.plan reference)
         in
-        let bit_identical = same snap_restored && same chain_restored in
-        let chooser = Engine.Recovery.choice_to_string est.Engine.Recovery.choice in
+        let bit_identical =
+          same snap_restored && same chain_restored
+          && same
+               (store_tail opened.Engine.Recovery.state.ctrl
+                  opened.Engine.Recovery.state.covered)
+        in
+        let chooser =
+          Engine.Recovery.choice_to_string opened.Engine.Recovery.choice
+        in
         T.add_row rtable
           [ T.cell_i deltas;
             Printf.sprintf "%.3f" (1000. *. full_seconds);

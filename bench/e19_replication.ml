@@ -182,9 +182,19 @@ let run () =
   let chooser_rows =
     List.map
       (fun total ->
-        let est =
-          Engine.Recovery.assess ~snapshot_path:snap_path
-            ~total_records:total ()
+        let module R = Engine.Recovery in
+        let r =
+          match
+            R.open_ ~instance:inst ~snapshot:snap_path ~total_records:total
+              ~first_seq:1 ()
+          with
+          | Ok r -> r
+          | Error msg -> failwith msg
+        in
+        let seconds c = Option.get (List.assoc c r.R.paths) in
+        let ((choice, snap, replay) as row) =
+          (R.choice_to_string r.R.choice, seconds R.Snapshot_tail,
+           seconds R.Full_replay)
         in
         Printf.printf
           "  chooser: %d total records (tail %d) -> %s (snap %.4gs vs \
@@ -192,10 +202,8 @@ let run () =
            %!"
           total
           (max 0 (total - covered))
-          (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-          est.Engine.Recovery.snapshot_seconds
-          est.Engine.Recovery.replay_seconds;
-        (total, est))
+          choice snap replay;
+        (total, row))
       [ covered + 10; covered * 50 ]
   in
   ignore log;
@@ -233,14 +241,11 @@ let run () =
     !failovers sweep_seconds !divergence
     (String.concat ",\n"
        (List.map
-          (fun (total, (est : Engine.Recovery.estimate)) ->
+          (fun (total, (choice, snap, replay)) ->
             Printf.sprintf
               "    { \"total_records\": %d, \"choice\": \"%s\", \
                \"snapshot_seconds\": %.6g, \"replay_seconds\": %.6g }"
-              total
-              (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-              est.Engine.Recovery.snapshot_seconds
-              est.Engine.Recovery.replay_seconds)
+              total choice snap replay)
           chooser_rows));
   close_out oc;
   Exp_common.check_json json_out;

@@ -155,8 +155,8 @@ let make_tests () =
       batched
   @ [ Test.make ~name:"snapshot-parse/full,n=60"
         (Staged.stage (fun () ->
-             match Engine.Snapshot.read_file_result snap_path with
-             | Ok r -> ignore (Sys.opaque_identity (fst r))
+             match Engine.Checkpoint.recover ~path:snap_path with
+             | Ok r -> ignore (Sys.opaque_identity r.Engine.Checkpoint.ctrl)
              | Error msg -> failwith msg));
       Test.make ~name:"chain-recover/incremental,n=60"
         (Staged.stage (fun () ->

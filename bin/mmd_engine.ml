@@ -320,6 +320,16 @@ let read_log path =
     | Error msg -> failwith msg
   else Plain (Engine.Delta.log_of_string text)
 
+let read_deltas o = Option.map read_log o.deltas_in
+
+(* Count the records a recovery quarantined and say so. *)
+let report_quarantined ~what ~note n ~torn =
+  if n > 0 then begin
+    note n;
+    Format.printf "%s: quarantined %d record(s)%s@." what n
+      (if torn then " (including a torn tail)" else "")
+  end
+
 (* The replay stream as (seq, delta) pairs. Plain and generated logs
    are numbered from [already] (the restored lifetime delta count) —
    continuation semantics for a snapshot-resumed run fed new deltas.
@@ -327,10 +337,12 @@ let read_log path =
    consumed from seq 1, so a plain log is numbered from 1 and the
    recovered prefix is skipped like a WAL's. WAL records carry
    their own authoritative sequence numbers and records a snapshot
-   already covers are skipped. [note] receives the quarantined count
-   for the counters of whichever controller ends up replaying;
-   generated churn is drawn against [view]. *)
-let load_records o ?(already = 0) ?(note = ignore) view =
+   already covers are skipped. [log] is the parsed --deltas file (read
+   here unless the caller already has it); [note] receives the
+   quarantined count for the counters of whichever controller ends up
+   replaying; generated churn is drawn against [view]. *)
+let load_records o ?(already = 0) ?(note = ignore) ?(log = read_deltas o)
+    view =
   let skip ~covered records =
     let fresh, skipped =
       List.partition (fun (seq, _) -> seq > already) records
@@ -341,28 +353,21 @@ let load_records o ?(already = 0) ?(note = ignore) view =
     fresh
   in
   let numbered ~from log = List.mapi (fun i d -> (from + i + 1, d)) log in
-  match (o.deltas_in, o.gen_deltas) with
-  | Some path, _ -> (
-      match read_log path with
-      | Wal r ->
-          if r.Engine.Wal.quarantined <> [] then begin
-            let n = List.length r.Engine.Wal.quarantined in
-            note n;
-            Format.printf "WAL recovery: quarantined %d record(s)%s@." n
-              (if r.Engine.Wal.torn_tail then " (including a torn tail)"
-               else "");
-            List.iteri
-              (fun i (q : Engine.Wal.quarantined) ->
-                if i < 10 then
-                  Format.printf "  offset %d: %s@." q.Engine.Wal.offset
-                    q.Engine.Wal.reason)
-              r.Engine.Wal.quarantined;
-            if n > 10 then Format.printf "  ... and %d more@." (n - 10)
-          end;
-          skip ~covered:"covered by the snapshot" r.Engine.Wal.records
-      | Plain log when o.wal_dir <> None ->
-          skip ~covered:"recovered" (numbered ~from:0 log)
-      | Plain log -> numbered ~from:already log)
+  match (log, o.gen_deltas) with
+  | Some (Wal r), _ ->
+      let q = r.Engine.Wal.quarantined in
+      report_quarantined ~what:"WAL recovery" ~note (List.length q)
+        ~torn:r.Engine.Wal.torn_tail;
+      List.iteri
+        (fun i (q : Engine.Wal.quarantined) ->
+          if i < 10 then Format.printf "  offset %d: %s@." q.offset q.reason)
+        q;
+      if List.length q > 10 then
+        Format.printf "  ... and %d more@." (List.length q - 10);
+      skip ~covered:"covered by the snapshot" r.Engine.Wal.records
+  | Some (Plain log), _ when o.wal_dir <> None ->
+      skip ~covered:"recovered" (numbered ~from:0 log)
+  | Some (Plain log), _ -> numbered ~from:already log
   | None, Some n ->
       let rng = Prelude.Rng.create o.seed in
       let log =
@@ -574,172 +579,117 @@ let plan_epilogue o ctrl =
 
 (* ---------- Single mode ---------- *)
 
-let restore_snapshot ~path ~text =
-  match Engine.Snapshot.load_result text with
-  | Ok ctrl ->
-      Format.printf "restored snapshot: %d slots active, utility %.6g@."
-        (Engine.View.active_count (C.view ctrl))
-        (C.utility ctrl);
-      ctrl
-  | Error msg -> (
-      (* The on-disk fallback generation may still be good. *)
-      match Engine.Snapshot.read_file_result path with
-      | Ok (ctrl, Engine.Snapshot.Previous) ->
-          Format.printf
-            "snapshot damaged (%s); fell back to previous generation: %d \
-             slots active, utility %.6g@."
-            msg
+let chain_path dir = Filename.concat dir "chain.ckpt"
+
+(* Where a single-controller run starts. FILE may itself be a snapshot
+   (no full replay then); otherwise --snapshot-in and the --wal-dir
+   chain are priced against a full replay of the durable log: the
+   segment store under --wal-dir, else the -d log. Recovery.open_
+   picks and restores; this prints what it did and returns the store
+   records past the restored state. *)
+let start o ~policy ~text ~log =
+  let module R = Engine.Recovery in
+  let instance =
+    if Engine.Snapshot.is_snapshot text then None
+    else Some (Mmd.Io.of_string text)
+  in
+  let snapshot = if instance = None then Some o.file else o.snapshot_in in
+  let store : Engine.Wal_store.recovery option =
+    match o.wal_dir with
+    | Some _ when instance = None ->
+        failwith
+          "--wal-dir starts from an instance; state comes back through the \
+           checkpoint chain and the segment store"
+    | Some dir when Engine.Wal_store.segments dir <> [] -> (
+        match Engine.Wal_store.recover_dir dir with
+        | Ok s -> Some s
+        | Error msg -> failwith msg)
+    | _ -> None (* no segments yet: a fresh store *)
+  in
+  match instance with
+  | Some inst when store = None && (snapshot = None || o.wal_dir <> None) ->
+      (* Nothing to recover; a fresh store numbers its records from 1,
+         so it starts from the instance. *)
+      (C.create ~policy inst, [])
+  | _ ->
+      let total_records, first_seq =
+        match (store, log) with
+        | Some s, _ -> (s.last_seq, s.first_seq)
+        | None, Some (Wal r) -> (List.length r.Engine.Wal.records, 1)
+        | None, Some (Plain l) -> (List.length l, 1)
+        | None, None -> (0, 1)
+      in
+      let r =
+        match
+          R.open_ ~policy ?instance ?snapshot
+            ?chain:(Option.map chain_path o.wal_dir)
+            ~total_records ~first_seq ()
+        with
+        | Ok r -> r
+        | Error msg -> failwith ("recovery: " ^ msg)
+      in
+      let { Engine.Checkpoint.ctrl; covered; increments; torn } = r.state in
+      let estimate (c, s) =
+        R.choice_to_string c
+        ^ Option.fold s ~none:" n/a" ~some:(Printf.sprintf " %.4gs")
+      in
+      if instance <> None then
+        Format.printf "recovery: taking %s (%s; %d record(s) in the log)@."
+          (R.choice_to_string r.choice)
+          (String.concat " vs " (List.map estimate r.paths))
+          total_records;
+      (match r.choice with
+      | R.Snapshot_tail ->
+          Format.printf "%s: %d slots active, utility %.6g@."
+            (Option.fold r.fell_back ~none:"restored snapshot"
+               ~some:
+                 (Printf.sprintf
+                    "snapshot damaged (%s); fell back to previous generation"))
             (Engine.View.active_count (C.view ctrl))
-            (C.utility ctrl);
-          ctrl
-      | Ok (ctrl, Engine.Snapshot.Current) -> ctrl
-      | Error msg -> failwith msg)
+            (C.utility ctrl)
+      | R.Chain_tail ->
+          if torn then
+            Format.printf "checkpoint chain: dropped a torn tail increment@.";
+          Format.printf
+            "restored checkpoint chain: %d increment(s) covering seq %d@."
+            increments covered
+      | R.Full_replay -> ());
+      ( ctrl,
+        match store with
+        | None -> []
+        | Some s ->
+            report_quarantined ~what:"segment store"
+              ~note:(fun n ->
+                Engine.Counters.note_quarantined ~n (C.counters ctrl))
+              (List.length s.quarantined) ~torn:s.torn_tail;
+            List.filter (fun (seq, _) -> seq > covered) s.records )
 
-(* Startup recovery choice without --wal-dir: estimate snapshot+tail
-   against a full replay of --deltas and take the cheaper path. The
-   log length is counted before building any controller. *)
-let recover_from_snapshot o ~policy ~text snap =
-  let total_records =
-    match Option.map read_log o.deltas_in with
-    | Some (Wal r) -> List.length r.Engine.Wal.records
-    | Some (Plain log) -> List.length log
-    | None -> 0
+let single_mode o ~policy ~text ~wal_writer =
+  let log = read_deltas o in
+  let ctrl, tail = start o ~policy ~text ~log in
+  let store_ctx =
+    Option.map
+      (fun dir ->
+        let store = Engine.Wal_store.open_dir dir in
+        (store, Engine.Checkpoint.create_writer ~path:(chain_path dir) ctrl))
+      o.wal_dir
   in
-  let est = Engine.Recovery.assess ~snapshot_path:snap ~total_records () in
-  Format.printf
-    "recovery: taking %s (estimated snapshot+tail %.4gs vs full replay \
-     %.4gs)@."
-    (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-    est.Engine.Recovery.snapshot_seconds est.Engine.Recovery.replay_seconds;
-  let ctrl =
-    match est.Engine.Recovery.choice with
-    | Engine.Recovery.Snapshot_tail ->
-        restore_snapshot ~path:snap ~text:(read_all snap)
-    | Engine.Recovery.Full_replay -> C.create ~policy (Mmd.Io.of_string text)
-    | Engine.Recovery.Chain_tail ->
-        (* No chain was offered to the chooser here; chains live under
-           --wal-dir. *)
-        assert false
-  in
-  Engine.Recovery.note (C.counters ctrl) est.Engine.Recovery.choice;
-  ctrl
-
-(* With --wal-dir the segmented store is both the durable log and the
-   replay input: the recovery chooser prices checkpoint-chain + store
-   tail against snapshot + tail and a full replay of the store, the
-   chosen state is restored, and the uncovered store tail is replayed
-   before any new input records are consumed (so churn generation sees
-   the recovered world). *)
-let recover_wal_dir o ~policy ~dir inst =
-  let chain = Filename.concat dir "chain.ckpt" in
-  let recovery =
-    if Sys.file_exists dir then
-      match Engine.Wal_store.recover_dir dir with
-      | Ok r -> Some r
-      | Error _ -> None (* no segments yet: fresh store *)
-    else None
-  in
-  let ctrl, tail =
-    match recovery with
-    | None -> (C.create ~policy inst, [])
-    | Some r ->
-        let total_records = r.Engine.Wal_store.last_seq in
-        let est =
-          Engine.Recovery.assess ~chain_path:chain
-            ~snapshot_path:
-              (Option.value o.snapshot_in
-                 ~default:(Filename.concat dir ".no-snapshot"))
-            ~total_records ()
-        in
-        let est =
-          (* A compacted store cannot serve a full replay — the records
-             below first_seq are gone — so the chain must cover the
-             gap. *)
-          if r.Engine.Wal_store.first_seq > 1 then
-            match Engine.Checkpoint.peek chain with
-            | Some (_, covered, _)
-              when covered >= r.Engine.Wal_store.first_seq - 1 ->
-                { est with Engine.Recovery.choice = Engine.Recovery.Chain_tail }
-            | _ ->
-                failwith
-                  (Printf.sprintf
-                     "store %s is compacted below seq %d but the checkpoint \
-                      chain does not cover the gap"
-                     dir r.Engine.Wal_store.first_seq)
-          else est
-        in
-        Format.printf
-          "recovery: taking %s (chain+tail %.4gs vs snapshot+tail %.4gs vs \
-           full replay %.4gs; %d record(s) on disk)@."
-          (Engine.Recovery.choice_to_string est.Engine.Recovery.choice)
-          est.Engine.Recovery.chain_seconds est.Engine.Recovery.snapshot_seconds
-          est.Engine.Recovery.replay_seconds total_records;
-        let ctrl, covered =
-          match est.Engine.Recovery.choice with
-          | Engine.Recovery.Chain_tail -> (
-              match Engine.Checkpoint.recover ~path:chain with
-              | Ok rc ->
-                  if rc.Engine.Checkpoint.torn then
-                    Format.printf
-                      "checkpoint chain: dropped a torn tail increment@.";
-                  Format.printf
-                    "restored checkpoint chain: %d increment(s) covering seq \
-                     %d@."
-                    rc.Engine.Checkpoint.increments rc.Engine.Checkpoint.covered;
-                  (rc.Engine.Checkpoint.ctrl, rc.Engine.Checkpoint.covered)
-              | Error msg -> failwith ("checkpoint chain recovery failed: " ^ msg))
-          | Engine.Recovery.Snapshot_tail ->
-              let snap = Option.get o.snapshot_in in
-              let ctrl = restore_snapshot ~path:snap ~text:(read_all snap) in
-              (ctrl, C.deltas_applied ctrl)
-          | Engine.Recovery.Full_replay -> (C.create ~policy inst, 0)
-        in
-        Engine.Recovery.note (C.counters ctrl) est.Engine.Recovery.choice;
-        if r.Engine.Wal_store.quarantined <> [] then begin
-          let n = List.length r.Engine.Wal_store.quarantined in
-          Engine.Counters.note_quarantined ~n (C.counters ctrl);
-          Format.printf "segment store: quarantined %d record(s)%s@." n
-            (if r.Engine.Wal_store.torn_tail then " (including a torn tail)"
-             else "")
-        end;
-        (ctrl, List.filter (fun (seq, _) -> seq > covered) r.Engine.Wal_store.records)
-  in
-  let store = Engine.Wal_store.open_dir dir in
-  let w = Engine.Checkpoint.create_writer ~path:chain ctrl in
+  let store = Option.map fst store_ctx and chain = Option.map snd store_ctx in
+  (* With --wal-dir the store is both the durable log and the replay
+     input: its tail is replayed before any new input record (so churn
+     generation sees the recovered world). *)
   if tail <> [] then begin
     let t0 = Obs.Clock.now () in
-    C.apply_batch ~on_applied:(Engine.Checkpoint.note w) ctrl
+    C.apply_batch ?on_applied:(Option.map Engine.Checkpoint.note chain) ctrl
       (List.map snd tail);
     Format.printf "replayed %d tail record(s) in %.4fs@." (List.length tail)
       (Obs.Clock.elapsed_since t0)
   end;
-  (ctrl, store, w)
-
-let single_mode o ~policy ~text ~wal_writer =
-  let is_snapshot = Engine.Snapshot.is_snapshot text in
-  let ctrl, store_ctx =
-    match o.wal_dir with
-    | Some dir ->
-        if is_snapshot then
-          failwith
-            "--wal-dir starts from an instance; state comes back through the \
-             checkpoint chain and the segment store";
-        let ctrl, store, w =
-          recover_wal_dir o ~policy ~dir (Mmd.Io.of_string text)
-        in
-        (ctrl, Some (store, w))
-    | None when is_snapshot -> (restore_snapshot ~path:o.file ~text, None)
-    | None -> (
-        match o.snapshot_in with
-        | Some snap -> (recover_from_snapshot o ~policy ~text snap, None)
-        | None -> (C.create ~policy (Mmd.Io.of_string text), None))
-  in
   let records =
     load_records o ~already:(C.deltas_applied ctrl)
       ~note:(fun n -> Engine.Counters.note_quarantined ~n (C.counters ctrl))
-      (C.view ctrl)
+      ~log (C.view ctrl)
   in
-  let store = Option.map fst store_ctx and chain = Option.map snd store_ctx in
   (* Log first, apply second: a crash between the two re-applies on
      recovery instead of losing an applied record. One OS flush per
      batch; bytes on disk are identical to per-record appends. *)
@@ -1202,8 +1152,9 @@ let opts =
        estimate the cost of restoring $(docv) plus replaying the uncovered \
        tail against the other recovery paths, take the cheapest, and record \
        the choice in the counters (exported as \
-       $(b,engine_recovery_path_total)). A missing or damaged snapshot \
-       degrades to the full replay."
+       $(b,engine_recovery_path_total)). A damaged snapshot is priced and \
+       restored as its previous generation ($(docv).prev), the same rule \
+       as a snapshot given as FILE; a missing one leaves the other paths."
   and+ snapshot_out =
     optional ~docs:s_kept Arg.string [ "snapshot-out" ] ~docv:"FILE"
       "Write the engine state (the primary's, when replicated) for a later \

@@ -144,19 +144,6 @@ let read_all path =
         (fun () -> Some (really_input_string ic (in_channel_length ic)))
   | exception Sys_error _ -> None
 
-(* Cheap structural peek for the recovery chooser: the chain's size
-   and the coverage of its last valid increment, without building a
-   view. *)
-let peek path =
-  match read_all path with
-  | None -> None
-  | Some text -> (
-      match scan_frames text with
-      | Error _ | Ok ([], _) -> None
-      | Ok (frames, _) ->
-          let last = List.nth frames (List.length frames - 1) in
-          Some (String.length text, last.covers, List.length frames))
-
 (* ------------------------------------------------------------------ *)
 (* Writing *)
 
@@ -341,7 +328,6 @@ let checkpoint w ctrl =
 let covered w = w.covered
 let increments w = w.increments
 let close_writer w = close_out w.oc
-let writer_path w = w.path
 
 (* ------------------------------------------------------------------ *)
 (* Reading *)
@@ -628,7 +614,8 @@ let rebuild frames =
       in
       controller_of view last
 
-let restore ~whole text =
+(* The valid frames of a chain; a whole one must have no damage. *)
+let frames_of ~whole text =
   match scan_frames text with
   | Error msg -> Error msg
   | Ok (_, Some why) when whole -> Error why
@@ -637,26 +624,39 @@ let restore ~whole text =
         (match damage with
         | Some why -> "no valid increments: " ^ why
         | None -> "no valid increments")
-  | Ok (frames, damage) -> (
-      match rebuild frames with
-      | ctrl ->
-          Ok
-            { ctrl;
-              covered = (List.nth frames (List.length frames - 1)).covers;
-              increments = List.length frames;
-              torn = damage <> None }
-      | exception (Parse_error msg | Invalid_argument msg | Failure msg) ->
-          Error msg)
+  | Ok (frames, damage) -> Ok (frames, damage <> None)
 
-let recover_string text =
-  Obs.Span.with_ ~name:"checkpoint.recover" (fun () -> restore ~whole:false text)
+type scanned = { bytes : int; frames : frame list; torn : bool }
+
+let scan ?(whole = false) path =
+  match read_all path with
+  | None -> Error (Printf.sprintf "cannot read %s" path)
+  | Some text ->
+      Result.map
+        (fun (frames, torn) -> { bytes = String.length text; frames; torn })
+        (frames_of ~whole text)
+
+let covers frames = (List.nth frames (List.length frames - 1)).covers
+let extent s = (s.bytes, covers s.frames)
+
+let recovered ~torn frames =
+  match rebuild frames with
+  | ctrl ->
+      Ok
+        { ctrl; covered = covers frames; increments = List.length frames;
+          torn }
+  | exception (Parse_error msg | Invalid_argument msg | Failure msg) ->
+      Error msg
+
+let restore s =
+  Obs.Span.with_ ~name:"checkpoint.recover" (fun () ->
+      recovered ~torn:s.torn s.frames)
 
 let recover ~path =
-  match read_all path with
-  | None -> Error (Printf.sprintf "Checkpoint.recover: cannot read %s" path)
-  | Some text ->
-      Result.map_error
-        (fun msg -> "Checkpoint.recover: " ^ msg)
-        (recover_string text)
+  Result.map_error
+    (fun msg -> "Checkpoint.recover: " ^ msg)
+    (Result.bind (scan path) restore)
 
-let of_string text = Result.map (fun r -> r.ctrl) (restore ~whole:true text)
+let of_string text =
+  Result.bind (frames_of ~whole:true text) (fun (frames, _) ->
+      Result.map (fun r -> r.ctrl) (recovered ~torn:false frames))

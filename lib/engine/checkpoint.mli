@@ -69,7 +69,6 @@ val increments : writer -> int
 (** Valid increments in the chain, the resumed-from ones included. *)
 
 val close_writer : writer -> unit
-val writer_path : writer -> string
 
 (** {1 Recovery} *)
 
@@ -81,19 +80,28 @@ type recovered = {
 }
 
 val recover : path:string -> (recovered, string) result
-(** Rebuild the controller at the last valid increment. The caller
-    replays WAL records with sequence [> covered] through the ordinary
-    {!Controller.apply} path to reach the crash point. *)
+(** {!scan} then {!restore}: rebuild the controller at the last valid
+    increment. The caller replays WAL records with sequence
+    [> covered] through the ordinary {!Controller.apply} path to reach
+    the crash point. *)
 
-val recover_string : string -> (recovered, string) result
-(** {!recover} on the chain's text. *)
+type scanned
+(** A chain read from disk with its frames' lengths and checksums
+    verified, but no body parsed yet. *)
+
+val scan : ?whole:bool -> string -> (scanned, string) result
+(** Read the chain at the path once and verify its frames. [Error]
+    when the file is missing, not a chain, or has no valid increment —
+    or, with [~whole:true] (a snapshot), has a damaged frame anywhere. *)
+
+val extent : scanned -> int * int
+(** [(bytes, covered)]: the file's size and [deltas_applied] at its last
+    valid increment — the recovery cost model's input. *)
+
+val restore : scanned -> (recovered, string) result
+(** Parse the valid prefix and rebuild the controller from it. *)
 
 val of_string : string -> (Controller.t, string) result
 (** Restore a chain that must be whole: a damaged frame anywhere is an
     [Error] that says why it failed (truncated or checksum mismatch)
     instead of a shorter recovery. *)
-
-val peek : string -> (int * int * int) option
-(** [(chain_bytes, covered, increments)] of the last valid increment,
-    without building a view — the recovery cost model's input. [None]
-    when the file is missing, not a chain, or has no valid increment. *)

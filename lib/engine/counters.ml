@@ -145,15 +145,17 @@ let note_fallback t =
   t.fallbacks <- t.fallbacks + 1;
   Obs.Metrics.inc t.mirrors.m_fallbacks
 
+type recovery_path = Snapshot_tail | Full_replay | Chain_tail
+
 let note_recovery_path t path =
   match path with
-  | `Snapshot_tail ->
+  | Snapshot_tail ->
       t.snapshot_recoveries <- t.snapshot_recoveries + 1;
       Obs.Metrics.inc t.mirrors.m_path_snapshot
-  | `Full_replay ->
+  | Full_replay ->
       t.full_replays <- t.full_replays + 1;
       Obs.Metrics.inc t.mirrors.m_path_replay
-  | `Chain_tail ->
+  | Chain_tail ->
       (* A checkpoint chain is the snapshot family of recovery: count
          it on that side of the pair, with its own exported label. *)
       t.snapshot_recoveries <- t.snapshot_recoveries + 1;

@@ -45,12 +45,13 @@ val note_fallback : t -> unit
 (** The supervisor abandoned a replan and restored the last feasible
     plan. *)
 
-val note_recovery_path :
-  t -> [ `Snapshot_tail | `Full_replay | `Chain_tail ] -> unit
-(** Record which startup recovery path {!Recovery.choose} selected:
+type recovery_path = Snapshot_tail | Full_replay | Chain_tail
+
+val note_recovery_path : t -> recovery_path -> unit
+(** Record which startup recovery path {!Recovery.open_} took:
     snapshot + WAL-tail replay, or a full WAL replay from scratch.
     Mirrored into the exported [engine_recovery_path_total] counter
-    with a [path="snapshot"|"replay"|"chain"] label ([`Chain_tail] is
+    with a [path="snapshot"|"replay"|"chain"] label ([Chain_tail] is
     a checkpoint-chain restore plus WAL-tail replay; it counts on the
     snapshot side of {!recovery_paths}). Deliberately excluded from
     {!fields} and {!report}: the choice depends on measured machine

@@ -240,23 +240,6 @@ let write_log path deltas =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc (log_to_string deltas))
 
-let read_log_result path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        really_input_string ic n)
-  with
-  | text -> log_of_string_result text
-  | exception Sys_error msg -> Error msg
-
-let read_log path =
-  match read_log_result path with
-  | Ok deltas -> deltas
-  | Error msg -> failwith msg
-
 let pp ppf d =
   match d with
   | User_join { interests; _ } ->

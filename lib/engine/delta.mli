@@ -58,10 +58,4 @@ val log_of_string : string -> t list
 
 val write_log : string -> t list -> unit
 
-val read_log_result : string -> (t list, string) result
-(** Read and parse a log file; IO errors become [Error] too. *)
-
-val read_log : string -> t list
-(** @raise Failure on parse or IO errors (CLI boundary). *)
-
 val pp : Format.formatter -> t -> unit

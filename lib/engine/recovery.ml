@@ -1,20 +1,14 @@
-(* Startup recovery-path selection: checkpoint-chain + WAL-tail replay
-   vs snapshot + tail vs a full WAL replay from scratch. Replaying a
-   record means running it through the planner's incremental apply —
-   orders of magnitude more expensive than parsing it — so the model
-   prices a path by the records it must APPLY plus the bytes it must
-   parse back into a controller. Both files are the same format; the
-   chain is usually written more often, so its tail is shorter, but it
-   grows with history until a full increment is appended. *)
+(* Startup recovery: choose among checkpoint-chain + log-tail replay,
+   snapshot + tail and a full replay from the instance, and restore the
+   chosen one. Replaying a record means running it through the
+   planner's incremental apply — orders of magnitude more expensive
+   than parsing it — so the model prices a path by the records it must
+   APPLY plus the bytes it must parse back into a controller. Both
+   state files are the same format; the chain is usually written more
+   often, so its tail is shorter, but it grows with history until a
+   full increment is appended. *)
 
-type choice = Snapshot_tail | Full_replay | Chain_tail
-
-type estimate = {
-  choice : choice;
-  snapshot_seconds : float;
-  replay_seconds : float;
-  chain_seconds : float;
-}
+type choice = Counters.recovery_path = Snapshot_tail | Full_replay | Chain_tail
 
 (* Calibrated from BENCH_engine on the reference machine (apply path
    ~15µs/record; state parse throughput ~80 MB/s → ~12ns/byte — the
@@ -25,51 +19,128 @@ type estimate = {
 let apply_seconds_per_record = 15e-6
 let state_seconds_per_byte = 12e-9
 
-let choose ?chain ~snapshot_bytes ~total_records ~covered () =
-  let apply = apply_seconds_per_record and parse = state_seconds_per_byte in
-  let tail_cost covered = float (max 0 (total_records - covered)) *. apply in
-  let snapshot_seconds =
-    if snapshot_bytes < 0 then infinity
-    else (float snapshot_bytes *. parse) +. tail_cost covered
-  in
-  let replay_seconds = float total_records *. apply in
-  let chain_seconds =
-    match chain with
-    | Some (chain_bytes, chain_covered) ->
-        (float chain_bytes *. parse) +. tail_cost chain_covered
-    | None -> infinity
-  in
-  let choice =
-    (* Ties break toward the shorter-tail path: chain, then snapshot. *)
-    if chain_seconds <= snapshot_seconds && chain_seconds <= replay_seconds
-    then Chain_tail
-    else if snapshot_seconds <= replay_seconds then Snapshot_tail
-    else Full_replay
-  in
-  { choice; snapshot_seconds; replay_seconds; chain_seconds }
+let seconds ~total_records (bytes, covered) =
+  (float bytes *. state_seconds_per_byte)
+  +. (float (max 0 (total_records - covered)) *. apply_seconds_per_record)
 
-let assess ?chain_path ~snapshot_path ~total_records () =
-  (* A file is usable when it has a valid increment that does not claim
-     more records than the WAL holds (a stale WAL paired with a newer
-     artifact is not a tail-replay situation). *)
-  let usable path =
-    match Checkpoint.peek path with
-    | Some (bytes, covered, _) when covered <= total_records ->
-        Some (bytes, covered)
-    | _ -> None
-  in
-  let chain = Option.bind chain_path usable in
-  match usable snapshot_path with
-  | Some (snapshot_bytes, covered) ->
-      choose ?chain ~snapshot_bytes ~total_records ~covered ()
-  | None -> choose ?chain ~snapshot_bytes:(-1) ~total_records ~covered:0 ()
+(* Ties break toward the shorter-tail path: chain, then snapshot. *)
+let rank = function Chain_tail -> 0 | Snapshot_tail -> 1 | Full_replay -> 2
+
+let choose ~total_records candidates =
+  List.fold_left
+    (fun best (choice, bytes, covered) ->
+      let s = seconds ~total_records (bytes, covered) in
+      match best with
+      | Some (c, b) when b < s || (b = s && rank c <= rank choice) -> best
+      | _ -> Some (choice, s))
+    None candidates
 
 let choice_to_string = function
   | Snapshot_tail -> "snapshot+tail"
   | Full_replay -> "full-replay"
   | Chain_tail -> "chain+tail"
 
-let note counters = function
-  | Snapshot_tail -> Counters.note_recovery_path counters `Snapshot_tail
-  | Full_replay -> Counters.note_recovery_path counters `Full_replay
-  | Chain_tail -> Counters.note_recovery_path counters `Chain_tail
+type opened = {
+  state : Checkpoint.recovered;
+  choice : choice;
+  paths : (choice * float option) list;
+  fell_back : string option;
+}
+
+type candidate = {
+  choice : choice;
+  bytes : int;
+  covered : int;
+  fell_back : string option;
+  restore : unit -> (Checkpoint.recovered, string) result;
+  retry : string -> candidate option;
+      (** the next generation, once this one failed to restore (why) *)
+}
+
+let open_ ?policy ?instance ?snapshot ?chain ~total_records ~first_seq () =
+  let replay = Option.is_some instance && first_seq <= 1 in
+  (* The tail past [covered] must still be on disk. With a full replay
+     on offer, a state that claims more records than the log holds is
+     passed over too: a stale log paired with a newer state is not a
+     tail-replay situation. *)
+  let reaches covered =
+    covered >= first_seq - 1 && not (replay && covered > total_records)
+  in
+  let failures = ref [] in
+  let failed path why = failures := (path ^ ": " ^ why) :: !failures in
+  (* The first generation of a state file that verifies: the file
+     itself, then (a snapshot only) the one {!Snapshot.write_file} kept
+     before it. A snapshot must be whole; a chain may have lost a torn
+     suffix. *)
+  let rec state choice ?fell_back = function
+    | [] -> None
+    | path :: older -> (
+        let next why =
+          failed path why;
+          state choice ~fell_back:why older
+        in
+        match Checkpoint.scan ~whole:(choice = Snapshot_tail) path with
+        | Error why -> next why
+        | Ok s ->
+            let bytes, covered = Checkpoint.extent s in
+            if not (reaches covered) then None
+            else
+              Some
+                { choice; bytes; covered; fell_back;
+                  restore = (fun () -> Checkpoint.restore s);
+                  retry = next })
+  in
+  let files =
+    (match chain with Some p -> [ (Chain_tail, [ p ]) ] | None -> [])
+    @
+    match snapshot with
+    | Some p -> [ (Snapshot_tail, [ p; Snapshot.previous_path p ]) ]
+    | None -> []
+  in
+  let replay_from inst =
+    { choice = Full_replay; bytes = 0; covered = 0; fell_back = None;
+      restore =
+        (fun () ->
+          Ok
+            { Checkpoint.ctrl = Controller.create ?policy inst; covered = 0;
+              increments = 0; torn = false });
+      retry = (fun _ -> None) }
+  in
+  let offered =
+    List.map fst files @ if instance = None then [] else [ Full_replay ]
+  in
+  let rec attempt candidates =
+    let estimate c = (c.choice, c.bytes, c.covered) in
+    match choose ~total_records (List.map estimate candidates) with
+    | None -> (
+        let gap =
+          if first_seq <= 1 then []
+          else
+            [ Printf.sprintf
+                "the log is compacted below seq %d and no state file covers \
+                 seq %d"
+                first_seq (first_seq - 1) ]
+        in
+        match gap @ List.rev !failures with
+        | [] -> Error "no instance and no state file"
+        | why -> Error (String.concat "; " why))
+    | Some (choice, _) -> (
+        let c = List.find (fun c -> c.choice = choice) candidates in
+        let others = List.filter (fun c -> c.choice <> choice) candidates in
+        match c.restore () with
+        | Error why -> attempt (Option.to_list (c.retry why) @ others)
+        | Ok r ->
+            Counters.note_recovery_path (Controller.counters r.ctrl) choice;
+            let seconds choice =
+              List.find_opt (fun c -> c.choice = choice) candidates
+              |> Option.map (fun c ->
+                     seconds ~total_records (c.bytes, c.covered))
+            in
+            Ok
+              { state = r; choice;
+                paths = List.map (fun c -> (c, seconds c)) offered;
+                fell_back = c.fell_back })
+  in
+  attempt
+    (List.filter_map (fun (choice, paths) -> state choice paths) files
+    @ if replay then List.map replay_from (Option.to_list instance) else [])

@@ -1,61 +1,73 @@
-(** Startup recovery-path selection.
+(** Startup recovery: which durable state to start from, and restoring it.
 
     After a crash the engine has (up to) three ways back: restore the
-    checkpoint chain and replay only the WAL tail past its coverage,
+    checkpoint chain and replay only the log tail past its coverage,
     load the latest snapshot and replay its (usually longer) tail, or
-    replay the whole WAL from scratch. Both state files are the same
-    {!Checkpoint} format, so which is cheaper depends on staleness and
-    size — a checkpoint taken two records ago makes the tail path
+    replay the whole log from the instance. Both state files are the
+    same {!Checkpoint} format, so which is cheaper depends on staleness
+    and size — a checkpoint taken two records ago makes the tail path
     nearly free; a snapshot taken at record 10 of 100k is pure overhead
     on top of what is effectively a full replay anyway.
 
     {!choose} prices the paths with a linear cost model (records to
     {e apply} dominate; state bytes to parse are the secondary term)
-    and picks the cheaper one. The constants are rough and fixed, but
-    the decision only needs the ratio, so rough is enough except where
-    two paths cost the same and either choice is fine. The choice
-    taken is recorded via {!Counters.note_recovery_path} by the caller
-    (see {!note}). *)
+    and picks the cheapest. The constants are rough and fixed, but the
+    decision only needs the ratio, so rough is enough except where two
+    paths cost the same and either choice is fine. {!open_} is the one
+    recovery start: it prices what is on disk, restores the cheapest
+    path and records the choice in the restored controller's counters. *)
 
-type choice = Snapshot_tail | Full_replay | Chain_tail
-
-type estimate = {
-  choice : choice;
-      (** the cheapest path (ties go to the shorter-tail path: chain,
-          then snapshot) *)
-  snapshot_seconds : float;
-      (** estimated cost of snapshot load + tail replay; [infinity]
-          when no usable snapshot exists *)
-  replay_seconds : float;  (** estimated cost of the full replay *)
-  chain_seconds : float;
-      (** estimated cost of chain restore + tail replay; [infinity]
-          when no usable chain exists *)
-}
+type choice = Counters.recovery_path = Snapshot_tail | Full_replay | Chain_tail
 
 val choose :
-  ?chain:int * int ->
-  snapshot_bytes:int ->
-  total_records:int ->
-  covered:int ->
-  unit ->
-  estimate
-(** Price the paths for a snapshot of [snapshot_bytes] covering
-    [covered] of the WAL's [total_records] records, and optionally a
-    checkpoint chain of [(chain_bytes, chain_covered)]. A negative
-    [snapshot_bytes] means "no snapshot". *)
-
-val assess :
-  ?chain_path:string -> snapshot_path:string -> total_records:int -> unit -> estimate
-(** {!choose} against the files on disk: {!Checkpoint.peek} of the
-    snapshot and (when [chain_path] is given) of the chain — byte size
-    and coverage of the last valid increment. Degrades each path to
-    [infinity] when its file is missing, unreadable, structurally
-    empty, or claims to cover more records than the WAL holds (a stale WAL
-    paired with a newer artifact is not a tail-replay situation);
-    with neither artifact usable the choice is [Full_replay]. *)
+  total_records:int -> (choice * int * int) list -> (choice * float) option
+(** The cheapest candidate [(choice, bytes, covered)] — a state of
+    [bytes] covering the first [covered] of the log's [total_records]
+    records; [(Full_replay, 0, 0)] for a replay from the instance — and
+    its estimated seconds. Ties go to the chain, then the snapshot.
+    [None] on an empty list. *)
 
 val choice_to_string : choice -> string
+(** ["chain+tail"], ["snapshot+tail"] or ["full-replay"]. *)
 
-val note : Counters.t -> choice -> unit
-(** Record the chosen path in the counters (and the exported
-    [engine_recovery_path_total] series). *)
+type opened = {
+  state : Checkpoint.recovered;
+      (** the restored controller and the deltas it covers; the caller
+          replays the log records with sequence [> covered] *)
+  choice : choice;
+  paths : (choice * float option) list;
+      (** every path offered (chain, snapshot, full replay, in that
+          order) with its estimated seconds; [None] when it cannot be
+          used *)
+  fell_back : string option;
+      (** [Some why] when the snapshot file was damaged (why) and its
+          previous generation was restored instead *)
+}
+
+val open_ :
+  ?policy:Controller.epoch_policy ->
+  ?instance:Mmd.Instance.t ->
+  ?snapshot:string ->
+  ?chain:string ->
+  total_records:int ->
+  first_seq:int ->
+  unit ->
+  (opened, string) result
+(** Start from the cheapest durable state. The candidates are the chain
+    at [chain], the snapshot at [snapshot] and a full replay from
+    [instance], against a durable log holding seqs [first_seq] through
+    [total_records]. Each state file is read once.
+
+    - A snapshot that does not verify or restore (missing, truncated,
+      corrupt, foreign) is priced and restored as its previous
+      generation ({!Snapshot.previous_path}); [fell_back] says why.
+    - A candidate that cannot reach [first_seq - 1] is dropped: a
+      compacted log ([first_seq > 1]) has no full replay, and a state
+      that stops short of it leaves a gap.
+    - With a full replay on offer, a state that covers more records
+      than the log holds is dropped as well.
+
+    Replaying the tail past [covered] stays with the caller. [Error]
+    (never an exception) when no candidate is left, naming the gap on a
+    compacted log. [policy] applies to the full replay; a restored state
+    carries its own. *)

@@ -10,9 +10,6 @@ let load_result text =
         (fun msg -> "Snapshot.load: " ^ msg)
         (Checkpoint.of_string text))
 
-let load text =
-  match load_result text with Ok ctrl -> ctrl | Error msg -> failwith msg
-
 let is_snapshot text =
   List.exists
     (fun prefix -> String.starts_with ~prefix text)
@@ -26,34 +23,7 @@ let write_file path ctrl =
   Obs.Span.with_ ~name:"snapshot.write" (fun () ->
       let t0 = Obs.Clock.now () in
       (* Keep the old generation around: if this write turns out torn
-         or corrupted, [read_file_result] falls back to it. *)
+         or corrupted, [Recovery.open_] falls back to it. *)
       Atomic_file.write ~previous:(previous_path path) path (save ctrl);
       Obs.Hist.observe (Lazy.force m_write_seconds)
         (Obs.Clock.elapsed_since t0))
-
-type generation = Current | Previous
-
-let read_all path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let read_file_result path =
-  let try_load p =
-    match read_all p with
-    | text -> load_result text
-    | exception Sys_error msg -> Error msg
-  in
-  match try_load path with
-  | Ok ctrl -> Ok (ctrl, Current)
-  | Error primary -> (
-      let prev = previous_path path in
-      if Sys.file_exists prev then
-        match try_load prev with
-        | Ok ctrl -> Ok (ctrl, Previous)
-        | Error fallback ->
-            Error
-              (Printf.sprintf "%s; previous generation also unusable: %s"
-                 primary fallback)
-      else Error primary)

@@ -153,7 +153,62 @@ let test_v1_wal_refused () =
       check_bool "--wal-out exits non-zero" false (contains out "exit 0");
       check_bool "the v1 file is left as it was" true
         (Test_replay_pins.read_file (Filename.concat dir "v1.wal")
+        = Test_replay_pins.read_file (Test_replay_pins.golden "codec.wal"));
+      (* Nor is a --wal-dir store holding one taken for a fresh store. *)
+      let segment = Filename.concat dir "wd/segment-0000000001.wal" in
+      Sys.mkdir (Filename.concat dir "wd") 0o755;
+      Sys.rename (Filename.concat dir "v1.wal") segment;
+      let out =
+        Test_replay_pins.transcript ~dir
+          [ "TMP/inst.mmd"; "--gen-deltas"; "10"; "--wal-dir"; "TMP/wd" ]
+      in
+      check_bool "--wal-dir names the v1 magic" true
+        (contains out "mmd-engine-wal v1");
+      check_bool "--wal-dir exits non-zero" false (contains out "exit 0");
+      check_bool "the v1 segment is left as it was" true
+        (Test_replay_pins.read_file segment
         = Test_replay_pins.read_file (Test_replay_pins.golden "codec.wal")))
+
+(* One rule for a damaged snapshot, whichever way the run resumes: as
+   FILE or through --snapshot-in, the previous generation is restored
+   and the run ends on the uninterrupted run's plan. *)
+let test_damaged_snapshot_falls_back () =
+  with_instance (fun dir ->
+      let transcript = Test_replay_pins.transcript ~dir in
+      let wal = [ "-d"; "TMP/churn.wal" ] in
+      let plan out =
+        List.find_opt
+          (String.starts_with ~prefix:"plan: ")
+          (String.split_on_char '\n' out)
+      in
+      let whole =
+        transcript
+          [ "TMP/inst.mmd"; "--gen-deltas"; "400"; "--seed"; "7"; "--wal-out";
+            "TMP/churn.wal" ]
+      in
+      ignore
+        (transcript
+           (("TMP/inst.mmd" :: wal)
+           @ [ "--snapshot-out"; "TMP/s.eng"; "--snapshot-every"; "50";
+               "--crash-after"; "120" ]));
+      let snap = Filename.concat dir "s.eng" in
+      let b = Bytes.of_string (Test_replay_pins.read_file snap) in
+      let i = Bytes.length b / 2 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+      Out_channel.with_open_bin snap (fun oc -> Out_channel.output_bytes oc b);
+      List.iter
+        (fun (how, args) ->
+          let out = transcript args in
+          check_bool (how ^ ": exit 0") true (contains out "exit 0");
+          check_bool (how ^ ": fell back") true
+            (contains out "fell back to previous generation");
+          check_bool (how ^ ": resumed at seq 50") true
+            (contains out "skipping 50 record(s)");
+          check_bool (how ^ ": final plan") true
+            (plan out <> None && plan out = plan whole))
+        [ ("as FILE", "TMP/s.eng" :: wal);
+          ( "--snapshot-in",
+            ("TMP/inst.mmd" :: wal) @ [ "--snapshot-in"; "TMP/s.eng" ] ) ])
 
 let suite =
   [ Alcotest.test_case "flags a mode does not read are refused" `Quick
@@ -165,4 +220,6 @@ let suite =
     Alcotest.test_case "heartbeat config built once" `Quick test_heartbeat_config;
     Alcotest.test_case "a v1 WAL is refused by name" `Quick test_v1_wal_refused;
     Alcotest.test_case "mid-batch abort reports one position" `Quick
-      test_mid_batch_abort_count ]
+      test_mid_batch_abort_count;
+    Alcotest.test_case "a damaged snapshot falls back either way" `Quick
+      test_damaged_snapshot_falls_back ]

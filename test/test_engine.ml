@@ -330,7 +330,7 @@ let test_snapshot_roundtrip () =
   check_bool "magic recognized" true (Engine.Snapshot.is_snapshot text);
   check_bool "instance text is not a snapshot" false
     (Engine.Snapshot.is_snapshot (Mmd.Io.to_string inst));
-  let restored = Engine.Snapshot.load text in
+  let restored = Result.get_ok (Engine.Snapshot.load_result text) in
   check_float "utility restored" (C.utility ctrl) (C.utility restored);
   check_bool "plan restored" true
     (P.admitted (C.planner ctrl) = P.admitted (C.planner restored));

@@ -265,33 +265,34 @@ let chain_recovery_prop (seed, cut_frac, checkpoint_every, segment_records) =
         log;
       WS.close store;
       K.close_writer writer;
-      (* "Power is back." A chain with no valid increment (crash before
-         the first checkpoint) falls back to a fresh controller — the
-         full-replay path. *)
-      let restored, covered =
-        match K.recover ~path:chain_path with
-        | Ok r -> (r.K.ctrl, r.K.covered)
-        | Error _ -> (C.create ~policy inst, 0)
-      in
-      let records, first_seq =
+      (* "Power is back." The one recovery start picks among the
+         chain and a full replay; a chain with no valid increment
+         (crash before the first checkpoint) leaves the full replay. *)
+      let records, first_seq, last_seq =
         (* An empty directory (crash before the first append) recovers
            as an empty store. *)
         match WS.recover_dir dir with
-        | Ok r -> (r.WS.records, r.WS.first_seq)
-        | Error _ -> ([], 1)
+        | Ok r -> (r.WS.records, r.WS.first_seq, r.WS.last_seq)
+        | Error _ -> ([], 1, 0)
       in
-      (* Compaction must never delete past the chain's coverage. *)
-      let compaction_safe = first_seq <= covered + 1 in
-      List.iter
-        (fun (seq, d) -> if seq > covered then ignore (C.apply restored d))
-        records;
-      let caught_up = C.deltas_applied restored = k in
-      (* Continue the run where the crash interrupted it. *)
-      List.iteri
-        (fun i d -> if i >= k then ignore (C.apply restored d))
-        log;
-      C.replan restored;
-      compaction_safe && caught_up && same_state restored reference)
+      match
+        R.open_ ~policy ~instance:inst ~chain:chain_path ~total_records:last_seq
+          ~first_seq ()
+      with
+      | Error _ -> false
+      | Ok { R.state = { ctrl = restored; covered; _ }; _ } ->
+          (* Compaction must never delete past the chain's coverage. *)
+          let compaction_safe = first_seq <= covered + 1 in
+          List.iter
+            (fun (seq, d) -> if seq > covered then ignore (C.apply restored d))
+            records;
+          let caught_up = C.deltas_applied restored = k in
+          (* Continue the run where the crash interrupted it. *)
+          List.iteri
+            (fun i d -> if i >= k then ignore (C.apply restored d))
+            log;
+          C.replan restored;
+          compaction_safe && caught_up && same_state restored reference)
 
 let qcheck_chain_recovery =
   qtest ~count:40
@@ -359,12 +360,13 @@ let test_chain_peek_and_torn_tail () =
           if (i + 1) mod 20 = 0 then K.checkpoint w ctrl)
         log;
       K.close_writer w;
-      (match K.peek path with
-      | Some (bytes, covered, increments) ->
+      (match (K.scan path, K.recover ~path) with
+      | Ok s, Ok r ->
+          let bytes, covered = K.extent s in
           check_int "covers 80" 80 covered;
-          check_int "four increments" 4 increments;
+          check_int "four increments" 4 r.K.increments;
           check_bool "bytes positive" true (bytes > 0)
-      | None -> Alcotest.fail "peek failed on a healthy chain");
+      | Error m, _ | _, Error m -> Alcotest.fail m);
       (* Tear the last increment: recovery falls back to the previous
          one, bit-identically. *)
       let ic = open_in_bin path in
@@ -373,14 +375,13 @@ let test_chain_peek_and_torn_tail () =
       let oc = open_out_bin path in
       output_string oc (String.sub text 0 (String.length text - 31));
       close_out oc;
-      match (K.peek path, K.recover ~path) with
-      | Some (_, covered, increments), Ok r ->
-          check_int "fell back to increment 3" 3 increments;
-          check_int "covers 60" 60 covered;
+      match (K.scan path, K.recover ~path) with
+      | Ok s, Ok r ->
+          check_int "fell back to increment 3" 3 r.K.increments;
+          check_int "covers 60" 60 (snd (K.extent s));
           check_bool "torn suffix reported" true r.K.torn;
           check_int "recovered at 60" 60 (C.deltas_applied r.K.ctrl)
-      | None, _ -> Alcotest.fail "peek failed after tear"
-      | _, Error m -> Alcotest.fail m)
+      | Error m, _ | _, Error m -> Alcotest.fail m)
 
 (* A writer reopened on a chain with a torn tail appends after the
    valid prefix, so what it appends is read back. *)
@@ -417,55 +418,109 @@ let test_chain_append_after_torn_tail () =
 
 (* ---------- the recovery chooser ---------- *)
 
+let chosen ~total_records candidates =
+  Option.map fst (R.choose ~total_records candidates)
+
 let test_chooser_three_way () =
   (* Pure cost model: relative magnitudes decide. *)
-  let est =
-    R.choose ~chain:(1_000, 950) ~snapshot_bytes:500_000 ~total_records:1_000
-      ~covered:900 ()
-  in
-  check_bool "short chain tail wins" true (est.R.choice = R.Chain_tail);
-  let est =
-    R.choose ~snapshot_bytes:800 ~total_records:10_000 ~covered:9_900 ()
-  in
+  check_bool "short chain tail wins" true
+    (chosen ~total_records:1_000
+       [ (R.Chain_tail, 1_000, 950); (R.Snapshot_tail, 500_000, 900);
+         (R.Full_replay, 0, 0) ]
+    = Some R.Chain_tail);
   check_bool "snapshot wins without a chain" true
-    (est.R.choice = R.Snapshot_tail);
-  let est =
-    R.choose ~chain:(50_000_000, 10) ~snapshot_bytes:(-1) ~total_records:100
-      ~covered:0 ()
-  in
-  check_bool "tiny log replays" true (est.R.choice = R.Full_replay);
-  (* Ties break toward the chain (shorter tail on disk growth). *)
-  let est =
-    R.choose ~chain:(100, 500) ~snapshot_bytes:100 ~total_records:1_000
-      ~covered:500 ()
-  in
-  check_bool "tie goes to the chain" true (est.R.choice = R.Chain_tail)
+    (chosen ~total_records:10_000
+       [ (R.Snapshot_tail, 800, 9_900); (R.Full_replay, 0, 0) ]
+    = Some R.Snapshot_tail);
+  check_bool "tiny log replays" true
+    (chosen ~total_records:100
+       [ (R.Chain_tail, 50_000_000, 10); (R.Full_replay, 0, 0) ]
+    = Some R.Full_replay);
+  (* Ties break toward the chain (shorter tail on disk growth), in
+     whichever order the candidates come. *)
+  List.iter
+    (fun candidates ->
+      check_bool "tie goes to the chain" true
+        (chosen ~total_records:1_000 candidates = Some R.Chain_tail))
+    [ [ (R.Chain_tail, 100, 500); (R.Snapshot_tail, 100, 500);
+        (R.Full_replay, 0, 0) ];
+      [ (R.Snapshot_tail, 100, 500); (R.Chain_tail, 100, 500);
+        (R.Full_replay, 0, 0) ] ];
+  check_bool "no candidate, no choice" true (chosen ~total_records:10 [] = None)
 
-let test_assess_prefers_chain_on_disk () =
-  let inst, log = world ~deltas:80 53 in
+(* A chain checkpointed at each of [chain_at] and a snapshot written at
+   [snapshot_at], both over the first deltas of one log. *)
+let state_files ~dir ~chain_at ~snapshot_at (inst, log) =
+  let chain_path = Filename.concat dir "chain.ckpt" in
+  let snap_path = Filename.concat dir "s.eng" in
+  let ctrl = C.create ~policy:(C.Every 16) inst in
+  let w = K.create_writer ~path:chain_path ctrl in
+  List.iteri
+    (fun i d ->
+      K.note w (C.apply ctrl d);
+      if List.mem (i + 1) chain_at then K.checkpoint w ctrl;
+      if i + 1 = snapshot_at then Engine.Snapshot.write_file snap_path ctrl)
+    log;
+  K.close_writer w;
+  (chain_path, snap_path)
+
+let test_open_prefers_chain_on_disk () =
+  let ((inst, _) as world) = world ~deltas:80 53 in
   with_tmp_dir (fun dir ->
-      let chain_path = Filename.concat dir "chain.ckpt" in
-      let snap_path = Filename.concat dir "none.eng" in
-      let ctrl = C.create ~policy:(C.Every 16) inst in
-      let w = K.create_writer ~path:chain_path ctrl in
-      List.iteri
-        (fun i d ->
-          K.note w (C.apply ctrl d);
-          if (i + 1) mod 20 = 0 then K.checkpoint w ctrl)
-        log;
-      K.close_writer w;
-      let est = R.assess ~chain_path ~snapshot_path:snap_path
-          ~total_records:85 ()
+      let chain, _ =
+        state_files ~dir ~chain_at:[ 20; 40; 60; 80 ] ~snapshot_at:0 world
       in
+      let snapshot = Filename.concat dir "none.eng" in
+      let start total_records =
+        match
+          R.open_ ~instance:inst ~snapshot ~chain ~total_records ~first_seq:1 ()
+        with
+        | Ok r -> r
+        | Error m -> Alcotest.fail m
+      in
+      let r = start 85 in
       check_bool "chain beats full replay of 85" true
-        (est.R.choice = R.Chain_tail);
+        (r.R.choice = R.Chain_tail);
+      check_int "chain covers 80" 80 r.R.state.covered;
+      check_bool "missing snapshot priced n/a" true
+        (List.assoc R.Snapshot_tail r.R.paths = None);
       (* A chain that is ahead of the WAL (more coverage than records
          exist) is not a tail-replay situation. *)
-      let est =
-        R.assess ~chain_path ~snapshot_path:snap_path ~total_records:40 ()
-      in
       check_bool "stale WAL falls back to replay" true
-        (est.R.choice = R.Full_replay))
+        ((start 40).R.choice = R.Full_replay))
+
+(* A compacted log (first_seq > 1) has no full replay; whichever state
+   file reaches first_seq - 1 is restored, the cheapest if both do, and
+   an Error names the gap when none does. *)
+let test_open_compacted_store () =
+  let ((inst, _) as world) = world ~deltas:80 59 in
+  let start ~dir ~chain_at ~snapshot_at ~first_seq =
+    let chain, snapshot = state_files ~dir ~chain_at ~snapshot_at world in
+    R.open_ ~instance:inst ~snapshot ~chain ~total_records:80 ~first_seq ()
+  in
+  let chosen name expected ~chain_at ~snapshot_at ~first_seq =
+    with_tmp_dir (fun dir ->
+        match start ~dir ~chain_at ~snapshot_at ~first_seq with
+        | Ok r ->
+            check_bool name true (r.R.choice = expected);
+            check_bool (name ^ ": no full replay") true
+              (List.assoc R.Full_replay r.R.paths = None)
+        | Error m -> Alcotest.fail m)
+  in
+  chosen "only the chain covers the gap" R.Chain_tail ~chain_at:[ 20; 40; 60 ]
+    ~snapshot_at:20 ~first_seq:51;
+  chosen "only the snapshot covers the gap" R.Snapshot_tail ~chain_at:[ 20; 40 ]
+    ~snapshot_at:60 ~first_seq:51;
+  chosen "both cover: the cheaper snapshot" R.Snapshot_tail
+    ~chain_at:[ 20; 40; 60 ] ~snapshot_at:80 ~first_seq:51;
+  with_tmp_dir (fun dir ->
+      match start ~dir ~chain_at:[ 20 ] ~snapshot_at:40 ~first_seq:61 with
+      | Ok r ->
+          Alcotest.failf "nothing covers the gap, yet %s was taken"
+            (R.choice_to_string r.R.choice)
+      | Error m ->
+          check_bool "the error names the gap" true
+            (contains m "compacted below seq 61"))
 
 let suite =
   [ qcheck_batch_identity;
@@ -484,5 +539,7 @@ let suite =
       test_chain_append_after_torn_tail;
     Alcotest.test_case "chooser: three-way cost model" `Quick
       test_chooser_three_way;
-    Alcotest.test_case "chooser: assess on-disk artifacts" `Quick
-      test_assess_prefers_chain_on_disk ]
+    Alcotest.test_case "chooser: open_ on disk artifacts" `Quick
+      test_open_prefers_chain_on_disk;
+    Alcotest.test_case "chooser: open_ on compacted stores" `Quick
+      test_open_compacted_store ]

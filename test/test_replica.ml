@@ -693,45 +693,48 @@ let test_aborted_batch_prefix () =
 
 let test_recovery_chooser () =
   let open Engine.Recovery in
-  (* A fresh snapshot covering almost everything: tail replay wins. *)
-  let near =
-    choose ~snapshot_bytes:10_000 ~total_records:100_000 ~covered:99_000 ()
+  let chosen ~total_records candidates =
+    Option.map fst (choose ~total_records candidates)
   in
-  check_bool "fresh snapshot -> snapshot path" true (near.choice = Snapshot_tail);
+  (* A fresh snapshot covering almost everything: tail replay wins. *)
+  check_bool "fresh snapshot -> snapshot path" true
+    (chosen ~total_records:100_000
+       [ (Snapshot_tail, 10_000, 99_000); (Full_replay, 0, 0) ]
+    = Some Snapshot_tail);
   (* A stale snapshot covering almost nothing: the full replay is not
      worse, and the snapshot parse is pure overhead. *)
-  let stale =
-    choose ~snapshot_bytes:50_000_000 ~total_records:1_000 ~covered:10 ()
-  in
-  check_bool "stale snapshot -> full replay" true (stale.choice = Full_replay);
-  (* assess on a missing file degrades to full replay. *)
-  let missing =
-    assess ~snapshot_path:"/nonexistent/snap.eng" ~total_records:100 ()
-  in
-  check_bool "missing snapshot -> full replay" true (missing.choice = Full_replay);
-  check_bool "missing snapshot cost infinite" true
-    (missing.snapshot_seconds = infinity);
-  (* assess against a real snapshot file picks the snapshot path when
-     the tail is short. *)
+  check_bool "stale snapshot -> full replay" true
+    (chosen ~total_records:1_000
+       [ (Snapshot_tail, 50_000_000, 10); (Full_replay, 0, 0) ]
+    = Some Full_replay);
   let inst, log = world 38 in
+  let start snapshot total_records =
+    match open_ ~instance:inst ~snapshot ~total_records ~first_seq:1 () with
+    | Ok r -> r
+    | Error msg -> Alcotest.fail msg
+  in
+  (* A missing file degrades to full replay. *)
+  let missing = start "/nonexistent/snap.eng" 100 in
+  check_bool "missing snapshot -> full replay" true (missing.choice = Full_replay);
+  check_bool "missing snapshot priced n/a" true
+    (List.assoc Snapshot_tail missing.paths = None);
+  (* A real snapshot file is taken when the tail is short. *)
   let ctrl = C.create ~policy:C.Manual inst in
   C.apply_all ctrl log;
   let path = Filename.temp_file "replica" ".eng" in
   Engine.Snapshot.write_file path ctrl;
-  check_bool "peek sees deltas_applied" true
-    (match Engine.Checkpoint.peek path with
-    | Some (_, covered, 1) -> covered = List.length log
-    | _ -> false);
-  let e = assess ~snapshot_path:path ~total_records:(List.length log + 5) () in
+  check_bool "one increment covering deltas_applied" true
+    (match Engine.Checkpoint.recover ~path with
+    | Ok r -> r.covered = List.length log && r.increments = 1
+    | Error _ -> false);
+  let e = start path (List.length log + 5) in
   Sys.remove path;
   if Sys.file_exists (Engine.Snapshot.previous_path path) then
     Sys.remove (Engine.Snapshot.previous_path path);
   check_bool "fresh on-disk snapshot chosen" true (e.choice = Snapshot_tail);
-  (* Record the choices in counters and see them mirrored. *)
-  let cnt = Engine.Counters.create ~labels:[ ("t", "chooser") ] () in
-  note cnt e.choice;
-  note cnt Full_replay;
-  check_bool "paths recorded" true (Engine.Counters.recovery_paths cnt = (1, 1))
+  (* Each start records its choice in the restored counters. *)
+  let paths r = Engine.Counters.recovery_paths (C.counters r.state.ctrl) in
+  check_bool "paths recorded" true (paths e = (1, 0) && paths missing = (0, 1))
 
 let suite =
   [ Alcotest.test_case "frame round-trip" `Quick test_frame_roundtrip;

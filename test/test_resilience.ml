@@ -195,19 +195,24 @@ let test_snapshot_generation_fallback () =
       S.write_file path ctrl;
       check_bool "previous generation kept" true
         (Sys.file_exists (S.previous_path path));
+      let start () =
+        Engine.Recovery.open_ ~snapshot:path ~total_records:0 ~first_seq:1 ()
+      in
       (* Undamaged: current generation loads. *)
-      (match S.read_file_result path with
-      | Ok (r, S.Current) -> check_float "current utility" (C.utility ctrl) (C.utility r)
-      | Ok (_, S.Previous) -> Alcotest.fail "fell back without damage"
+      (match start () with
+      | Ok { fell_back = None; state = { ctrl = r; _ }; _ } ->
+          check_float "current utility" (C.utility ctrl) (C.utility r)
+      | Ok _ -> Alcotest.fail "fell back without damage"
       | Error msg -> Alcotest.fail msg);
       (* Tear the current generation mid-write: load falls back. *)
       let text = S.save ctrl in
       let oc = open_out_bin path in
       output_string oc (String.sub text 0 (String.length text / 3));
       close_out oc;
-      match S.read_file_result path with
-      | Ok (r, S.Previous) -> check_float "fallback utility" u_gen1 (C.utility r)
-      | Ok (_, S.Current) -> Alcotest.fail "damaged generation accepted"
+      match start () with
+      | Ok { fell_back = Some _; state = { ctrl = r; _ }; _ } ->
+          check_float "fallback utility" u_gen1 (C.utility r)
+      | Ok _ -> Alcotest.fail "damaged generation accepted"
       | Error msg -> Alcotest.fail msg)
 
 (* ---------- Crash at any boundary: bit-identical recovery ---------- *)
