@@ -136,12 +136,11 @@ let scan_frames text =
     Ok (List.rev !frames, damage)
   end
 
+(* [None] when [path] cannot be read whole: missing, a directory, or
+   an IO error midway. *)
 let read_all path =
-  match open_in_bin path with
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> Some (really_input_string ic (in_channel_length ic)))
+  match In_channel.with_open_bin path In_channel.input_all with
+  | text -> Some text
   | exception Sys_error _ -> None
 
 (* ------------------------------------------------------------------ *)

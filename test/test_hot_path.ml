@@ -484,6 +484,12 @@ let test_open_prefers_chain_on_disk () =
       check_int "chain covers 80" 80 r.R.state.covered;
       check_bool "missing snapshot priced n/a" true
         (List.assoc R.Snapshot_tail r.R.paths = None);
+      (* A directory where a state file should be is an Error, not an
+         exception. *)
+      check_bool "a directory is no state file" true
+        (match R.open_ ~snapshot:dir ~total_records:85 ~first_seq:1 () with
+        | Error _ -> true
+        | Ok _ | (exception _) -> false);
       (* A chain that is ahead of the WAL (more coverage than records
          exist) is not a tail-replay situation. *)
       check_bool "stale WAL falls back to replay" true
