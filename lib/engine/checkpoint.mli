@@ -23,8 +23,8 @@
     Torn or corrupt increments invalidate themselves and everything
     after them (later diffs build on them); recovery falls back to the
     longest valid prefix. A chain with zero valid increments is an
-    [Error] — callers fall back to full replay. No input makes a
-    reader raise.
+    [Error] — {!Recovery.open_} then takes another path. No input
+    makes a reader raise.
 
     Format (version-gated by the magic line, all floats lossless [%h]):
 
