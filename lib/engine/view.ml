@@ -156,21 +156,8 @@ let of_instance inst =
   let utility_caps = Array.make nu 0. in
   let slots =
     Array.init nu (fun u ->
-        (* Keep every stream the dense layout would expose: positive
-           utility or any nonzero load (a zero-utility stream can
-           still carry loads the instance recorded). *)
-        let entries = ref [] in
-        for s = num_streams - 1 downto 0 do
-          let w = I.utility inst u s in
-          let has_load = ref false in
-          for j = 0 to mc - 1 do
-            if I.load inst u s j <> 0. then has_load := true
-          done;
-          if w > 0. || !has_load then entries := s :: !entries
-        done;
-        let streams = Array.of_list !entries in
-        let k = Array.length streams in
-        let loads = Array.make (k * mc) 0. in
+        let streams = Array.copy (I.entry_streams inst u) in
+        let loads = Array.make (Array.length streams * mc) 0. in
         Array.iteri
           (fun i s ->
             for j = 0 to mc - 1 do

@@ -354,6 +354,7 @@ let has_sync src off =
   && Bytes.get src.bytes (off - src.base + 1) = sync1
 
 type state = {
+  first_seq : int;  (* the sequence number the input's first record has *)
   mutable records : (int * Delta.t) list;
   mutable quarantined : quarantined list;
   mutable last_seq : int;
@@ -367,8 +368,9 @@ let quarantine st offset reason =
    the next offset where a whole record verifies (or the end). They are
    cut into one quarantined entry per record they held: a record with
    a sound header ends where its length says, and one without ends at
-   the next sound header. When a verified record follows a verified
-   one, the gap in their sequence numbers counts the records lost
+   the next sound header. When a verified record follows the damage,
+   the gap between its sequence number and the previous verified one
+   (or, before any, the input's [first_seq]) counts the records lost
    in between, which catches adjacent records whose headers were both
    damaged. Returns where the next verified record starts, or [None]
    at the end of the input. *)
@@ -406,8 +408,9 @@ let resync st src p first =
       | Good _ -> ())
     segments;
   (match stop with
-  | Some (q, seq) when st.last_seq > 0 ->
-      let lost = min (seq - st.last_seq - 1) ((q - p) / min_record) in
+  | Some (q, seq) ->
+      let prev = if st.last_seq > 0 then st.last_seq else st.first_seq - 1 in
+      let lost = min (seq - prev - 1) ((q - p) / min_record) in
       let off = fst (List.nth segments last) in
       for _ = List.length segments + 1 to lost do
         quarantine st off
@@ -442,12 +445,14 @@ let first_line src =
   let s = Bytes.sub_string src.bytes 0 (min avail 128) in
   match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
 
-let recover_source src =
+let recover_source ~first_seq src =
   let m = String.length magic in
   let avail = ensure src 0 (m + 1) in
   let s = Bytes.unsafe_to_string src.bytes in
   if avail >= m && String.sub s 0 m = magic && (avail = m || s.[m] = '\n') then begin
-    let st = { records = []; quarantined = []; last_seq = 0; torn = false } in
+    let st =
+      { first_seq; records = []; quarantined = []; last_seq = 0; torn = false }
+    in
     recover_records st src (m + 1);
     Obs.Metrics.inc ~n:(List.length st.records) (Lazy.force m_replayed);
     Ok
@@ -464,18 +469,18 @@ let recover_source src =
            line magic)
     else Error "Wal.recover: not a WAL (bad magic line)"
 
-let recover_string text =
+let recover_string ?(first_seq = 1) text =
   Obs.Span.with_ ~name:"wal.recover" (fun () ->
-      recover_source (source_of_string text))
+      recover_source ~first_seq (source_of_string text))
 
-let recover_file path =
+let recover_file ?(first_seq = 1) path =
   match open_in_bin path with
   | ic ->
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
           Obs.Span.with_ ~name:"wal.recover" (fun () ->
-              recover_source (source_of_channel ic)))
+              recover_source ~first_seq (source_of_channel ic)))
   | exception Sys_error msg -> Error msg
 
 let write_file ?first_seq path deltas =

@@ -70,14 +70,19 @@ type recovery = {
           an append *)
 }
 
-val recover_string : string -> (recovery, string) result
+val recover_string : ?first_seq:int -> string -> (recovery, string) result
 (** Recover every verifiable record. [Error] only when the text is not
     a WAL this build reads (missing or garbled magic line, or the magic
     of another version, which the message names); data damage after
     the magic line is reported through [quarantined], never as
-    [Error]. *)
+    [Error]. [first_seq] (default 1) is the sequence number the log's
+    first record was written with, as in {!to_string}: damage before
+    the first record that verifies is counted as the records between
+    [first_seq] and that record (at most one per minimal record the
+    damaged bytes could hold), just as a gap between two verified
+    records is. *)
 
-val recover_file : string -> (recovery, string) result
+val recover_file : ?first_seq:int -> string -> (recovery, string) result
 (** {!recover_string} on a file, read in 64 KiB blocks: a long shipped
     log recovers in memory proportional to its surviving records, never
     holding the whole file as one string. Same result as the string

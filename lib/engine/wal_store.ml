@@ -65,7 +65,7 @@ let open_dir ?(segment_records = default_segment_records) dir =
     match List.rev (segments dir) with
     | [] -> (1, 0)
     | (first, path) :: _ -> (
-        match Wal.recover_file path with
+        match Wal.recover_file ~first_seq:first path with
         | Ok r when r.Wal.last_seq >= first ->
             (r.Wal.last_seq + 1, r.Wal.last_seq - first + 1)
         | _ -> (first, 0))
@@ -134,7 +134,7 @@ let recover_dir dir =
             match acc with
             | Error _ as e -> e
             | Ok i -> (
-                match Wal.recover_file path with
+                match Wal.recover_file ~first_seq:first path with
                 | Error msg ->
                     Error
                       (Printf.sprintf "%s: %s" (Filename.basename path) msg)
@@ -168,7 +168,6 @@ let recover_dir dir =
                        sealed short; only the last segment's torn tail
                        is the ordinary crash signature. *)
                     if r.Wal.torn_tail && i = nsegs - 1 then torn := true;
-                    ignore first;
                     Ok (i + 1)))
           (Ok 0) segs
       in

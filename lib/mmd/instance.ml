@@ -12,12 +12,36 @@ type t = {
   utility_cap : float array;            (* user *)
   interested_users : int array array;   (* stream -> users, ascending *)
   interesting_streams : int array array;(* user -> streams, ascending *)
+  entry_streams : int array array;      (* user -> streams, ascending *)
   stream_total_utility : float array;   (* stream *)
 }
 
 let check_nonneg what x =
   if x < 0. || Float.is_nan x then
     invalid_arg (Printf.sprintf "Instance.create: negative or NaN %s" what)
+
+(* Stream -> interested users (ascending) and their summed utility,
+   from the per-user rows. Users are visited in ascending order, so
+   each column fills in the order a column scan would list it and each
+   sum accumulates in that order too. *)
+let transpose ~num_streams ~utility interesting_streams =
+  let count = Array.make num_streams 0 in
+  Array.iter
+    (Array.iter (fun s -> count.(s) <- count.(s) + 1))
+    interesting_streams;
+  let cols = Array.map (fun n -> Array.make n 0) count in
+  let totals = Array.make num_streams 0. in
+  Array.fill count 0 num_streams 0;
+  Array.iteri
+    (fun u streams ->
+      Array.iter
+        (fun s ->
+          cols.(s).(count.(s)) <- u;
+          count.(s) <- count.(s) + 1;
+          totals.(s) <- totals.(s) +. utility.(u).(s))
+        streams)
+    interesting_streams;
+  (cols, totals)
 
 let create ?(name = "unnamed") ?mc ~server_cost ~budget ~load ~capacity
     ~utility ~utility_cap () =
@@ -72,42 +96,66 @@ let create ?(name = "unnamed") ?mc ~server_cost ~budget ~load ~capacity
       Array.iter (fun w -> check_nonneg "utility" w) utility.(u);
       check_nonneg "utility cap" utility_cap.(u))
     capacity;
-  (* Enforce the paper's assumption: a stream that individually violates
-     some capacity of a user yields zero utility for that user. *)
+  (* One pass over the dense input: enforce the paper's assumption (a
+     stream that individually violates some capacity of a user yields
+     zero utility for that user) and record each user's sparse rows. *)
   let utility = Array.map Array.copy utility in
+  let interesting_streams = Array.make num_users [||] in
+  let entry_streams = Array.make num_users [||] in
   for u = 0 to num_users - 1 do
-    for s = 0 to num_streams - 1 do
-      let violates = ref false in
+    let w = utility.(u) and caps = capacity.(u) in
+    let interesting = ref [] and entries = ref [] in
+    for s = num_streams - 1 downto 0 do
+      let row = load.(u).(s) in
+      let has_load = ref false in
       for j = 0 to mc - 1 do
-        if load.(u).(s).(j) > capacity.(u).(j) then violates := true
+        if row.(j) <> 0. then has_load := true;
+        if row.(j) > caps.(j) then w.(s) <- 0.
       done;
-      if !violates then utility.(u).(s) <- 0.
-    done
+      if w.(s) > 0. then interesting := s :: !interesting;
+      if w.(s) > 0. || !has_load then entries := s :: !entries
+    done;
+    interesting_streams.(u) <- Array.of_list !interesting;
+    entry_streams.(u) <- Array.of_list !entries
   done;
-  let interested_users =
-    Array.init num_streams (fun s ->
-        let acc = ref [] in
-        for u = num_users - 1 downto 0 do
-          if utility.(u).(s) > 0. then acc := u :: !acc
-        done;
-        Array.of_list !acc)
-  in
-  let interesting_streams =
-    Array.init num_users (fun u ->
-        let acc = ref [] in
-        for s = num_streams - 1 downto 0 do
-          if utility.(u).(s) > 0. then acc := s :: !acc
-        done;
-        Array.of_list !acc)
-  in
-  let stream_total_utility =
-    Array.init num_streams (fun s ->
-        Array.fold_left
-          (fun acc u -> acc +. utility.(u).(s))
-          0. interested_users.(s))
+  let interested_users, stream_total_utility =
+    transpose ~num_streams ~utility interesting_streams
   in
   { name; num_streams; num_users; m; mc; server_cost; budget; load;
     capacity; utility; utility_cap; interested_users; interesting_streams;
+    entry_streams; stream_total_utility }
+
+let restrict ?name t ~users ~budget =
+  if Array.length budget <> t.m then
+    invalid_arg "Instance.restrict: budget length <> m";
+  if Array.exists (fun b -> b < 0. || Float.is_nan b) budget then
+    invalid_arg "Instance.restrict: negative or NaN budget";
+  Array.iteri
+    (fun v u ->
+      if u < 0 || u >= t.num_users || (v > 0 && u <= users.(v - 1)) then
+        invalid_arg "Instance.restrict: users not ascending in range")
+    users;
+  let pick a = Array.map (fun u -> a.(u)) users in
+  let utility = pick t.utility in
+  let interesting_streams = pick t.interesting_streams in
+  let interested_users, stream_total_utility =
+    transpose ~num_streams:t.num_streams ~utility interesting_streams
+  in
+  { t with
+    name = Option.value name ~default:t.name;
+    num_users = Array.length users;
+    server_cost =
+      Array.map
+        (Array.mapi (fun i c -> Float.min c budget.(i)))
+        t.server_cost;
+    budget = Array.copy budget;
+    load = pick t.load;
+    capacity = pick t.capacity;
+    utility;
+    utility_cap = pick t.utility_cap;
+    interested_users;
+    interesting_streams;
+    entry_streams = pick t.entry_streams;
     stream_total_utility }
 
 let name t = t.name
@@ -123,6 +171,7 @@ let utility t u s = t.utility.(u).(s)
 let utility_cap t u = t.utility_cap.(u)
 let interested_users t s = t.interested_users.(s)
 let interesting_streams t u = t.interesting_streams.(u)
+let entry_streams t u = t.entry_streams.(u)
 let stream_total_utility t s = t.stream_total_utility.(s)
 
 let size t =
@@ -145,28 +194,3 @@ let is_smd_shaped t = t.m = 1 && t.mc <= 1
 let pp ppf t =
   Format.fprintf ppf "%s: %d streams, %d users, m=%d, mc=%d" t.name
     t.num_streams t.num_users t.m t.mc
-
-let pp_detail ppf t =
-  pp ppf t;
-  Format.fprintf ppf "@.budgets: @[%a@]@."
-    (Format.pp_print_array
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
-       (fun ppf b -> Format.fprintf ppf "%g" b))
-    t.budget;
-  for s = 0 to t.num_streams - 1 do
-    Format.fprintf ppf "stream %d: costs" s;
-    Array.iter (fun c -> Format.fprintf ppf " %g" c) t.server_cost.(s);
-    Format.fprintf ppf "@."
-  done;
-  for u = 0 to t.num_users - 1 do
-    Format.fprintf ppf "user %d: W=%g caps" u t.utility_cap.(u);
-    Array.iter (fun k -> Format.fprintf ppf " %g" k) t.capacity.(u);
-    Format.fprintf ppf "@.";
-    for s = 0 to t.num_streams - 1 do
-      if t.utility.(u).(s) > 0. then begin
-        Format.fprintf ppf "  w(%d)=%g loads" s t.utility.(u).(s);
-        Array.iter (fun k -> Format.fprintf ppf " %g" k) t.load.(u).(s);
-        Format.fprintf ppf "@."
-      end
-    done
-  done

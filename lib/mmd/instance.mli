@@ -37,16 +37,38 @@ val create :
     allowed, in which case [load] rows are empty arrays. [mc] is
     normally inferred from the capacity rows; pass it explicitly for a
     {e catalog-only} instance (zero users) that churned-in users will
-    later join with [mc]-ary loads — the sharded engine builds its
-    per-shard initial worlds this way.
+    later join with [mc]-ary loads.
 
     Utilities of streams that individually violate a user capacity are
     forced to [0] (the paper's assumption [w_u(S) = 0] if
     [k^u_j(S) > K^u_j]).
 
+    [create] reads its dense input once, in O(users × streams × mc),
+    and keeps each user's sparse rows ({!interesting_streams},
+    {!entry_streams}); {!interested_users} is their transpose. It is
+    the only step of building an engine's world that costs
+    users × streams: {!restrict} and [Engine.View.of_instance] walk
+    the sparse rows.
+
     @raise Invalid_argument on inconsistent dimensions, negative costs,
     loads, utilities, budgets or capacities, or a stream whose server
     cost exceeds a budget. *)
+
+val restrict : ?name:string -> t -> users:int array -> budget:float array -> t
+(** [restrict t ~users ~budget] is the instance over the users
+    [users] (strictly ascending ids of [t]; user [v] of the result is
+    user [users.(v)] of [t]) and the whole catalog, under [budget].
+    A server cost above its new budget is clamped down to it, the
+    clamp [Engine.View] applies on a budget shrink; the sharded engine
+    builds each shard's initial world this way. [name] defaults to
+    [t]'s, and [mc] is [t]'s even when [users] is empty.
+
+    The result shares [t]'s validated per-user rows (an instance is
+    immutable), so it costs O(|users| + their interests + streams × m),
+    never users × streams. On every accessor it equals [create] given
+    those users' rows, the clamped costs and [budget].
+    @raise Invalid_argument when [budget] is not [m] non-negative
+    numbers or [users] is not strictly ascending within range. *)
 
 (** {1 Accessors} *)
 
@@ -88,6 +110,13 @@ val interesting_streams : t -> int -> int array
 (** Streams [s] with [utility t u s > 0], ascending. Memoized at
     {!create} time like {!interested_users}; treat as immutable. *)
 
+val entry_streams : t -> int -> int array
+(** The user's {e entry} streams: [utility t u s > 0] or some
+    [load t u s j <> 0], ascending — every stream a sparse copy of the
+    user's row must keep, since a zero-utility stream can still carry
+    loads. A superset of {!interesting_streams}. Memoized at {!create}
+    time like it; treat as immutable. *)
+
 val stream_total_utility : t -> int -> float
 (** [w(S)] — sum of [utility u s] over all users. Precomputed. *)
 
@@ -106,7 +135,3 @@ val is_smd_shaped : t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable one-line summary (name and dimensions). *)
-
-val pp_detail : Format.formatter -> t -> unit
-(** Full dump of costs, budgets, loads, capacities and utilities;
-    intended for debugging small instances. *)

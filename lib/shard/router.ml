@@ -38,33 +38,13 @@ let shard_label i = [ ("shard", string_of_int i) ]
 
 (* The shard's initial world: the full catalog under its budget share,
    plus the users dealt to it, in ascending global id order. Costs
-   that undercut the share are clamped down to it — the same clamp the
-   view applies on any budget shrink. *)
+   that undercut the share are clamped down to it by [restrict] — the
+   same clamp the view applies on any budget shrink. *)
 let sub_instance inst ~assign ~shard ~share =
-  let ns = I.num_streams inst and m = I.m inst and mc = I.mc inst in
   let users = ref [] in
   Array.iteri (fun u s -> if s = shard then users := u :: !users) assign;
-  let users = Array.of_list (List.rev !users) in
-  let nu = Array.length users in
-  I.create
+  I.restrict inst ~users:(Array.of_list (List.rev !users)) ~budget:share
     ~name:(Printf.sprintf "%s/shard-%d" (I.name inst) shard)
-    ~mc
-    ~server_cost:
-      (Array.init ns (fun s ->
-           Array.init m (fun i -> Float.min (I.server_cost inst s i) share.(i))))
-    ~budget:(Array.copy share)
-    ~load:
-      (Array.init nu (fun v ->
-           Array.init ns (fun s ->
-               Array.init mc (fun j -> I.load inst users.(v) s j))))
-    ~capacity:
-      (Array.init nu (fun v ->
-           Array.init mc (fun j -> I.capacity inst users.(v) j)))
-    ~utility:
-      (Array.init nu (fun v ->
-           Array.init ns (fun s -> I.utility inst users.(v) s)))
-    ~utility_cap:(Array.init nu (fun v -> I.utility_cap inst users.(v)))
-    ()
 
 let slot_demand view l =
   List.fold_left (fun acc s -> acc +. V.utility view l s) 0. (V.interests view l)

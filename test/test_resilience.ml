@@ -144,6 +144,44 @@ let qcheck_wal_torn_tail =
     QCheck2.Gen.(pair (int_range 1 5_000) (float_range 0. 0.999))
     torn_tail_prop
 
+(* Damage before the first verified record: record 1's length byte
+   fails its check and record 2's sync marker is gone, so one damaged
+   region holds two records. Both count as lost, counted from the
+   log's [first_seq] as a gap between verified records would be. *)
+let test_wal_leading_damage_counts_each_record () =
+  let log = List.init 6 (fun i -> D.User_leave i) in
+  List.iter
+    (fun first_seq ->
+      let text = Bytes.of_string (W.to_string ~first_seq log) in
+      let r1 = String.length W.magic + 1 in
+      let r2 =
+        r1 + String.length (W.record_to_string ~seq:first_seq (List.hd log))
+      in
+      let flip i =
+        Bytes.set text i (Char.chr (Char.code (Bytes.get text i) lxor 0x08))
+      in
+      flip (r1 + 2);
+      flip r2;
+      match W.recover_string ~first_seq (Bytes.to_string text) with
+      | Error msg -> Alcotest.fail msg
+      | Ok r ->
+          check_int "two records quarantined" 2 (List.length r.W.quarantined);
+          check_int "the rest survive" 4 (List.length r.W.records);
+          check_int "first survivor" (first_seq + 2) (fst (List.hd r.W.records));
+          check_int "last seq" (first_seq + 5) r.W.last_seq)
+    [ 1; 41 ];
+  (* No record verifies: nothing is recovered, so last_seq stays 0. *)
+  let text = Bytes.of_string (W.to_string ~first_seq:41 [ D.User_leave 0 ]) in
+  let r1 = String.length W.magic + 1 in
+  Bytes.set text (r1 + 2)
+    (Char.chr (Char.code (Bytes.get text (r1 + 2)) lxor 0x08));
+  match W.recover_string ~first_seq:41 (Bytes.to_string text) with
+  | Error msg -> Alcotest.fail msg
+  | Ok r ->
+      check_int "one record quarantined" 1 (List.length r.W.quarantined);
+      check_int "nothing survives" 0 (List.length r.W.records);
+      check_int "last seq stays 0" 0 r.W.last_seq
+
 (* ---------- Crash-safe snapshots ---------- *)
 
 let with_tmp_dir f =
@@ -409,6 +447,8 @@ let suite =
       test_wal_record_rejects_wrong_seq;
     qcheck_wal_corruption;
     qcheck_wal_torn_tail;
+    Alcotest.test_case "wal: leading damage counts each record lost" `Quick
+      test_wal_leading_damage_counts_each_record;
     Alcotest.test_case "snapshot checksum detects damage" `Quick
       test_snapshot_checksum_detects_damage;
     Alcotest.test_case "snapshot generation fallback" `Quick
