@@ -136,15 +136,16 @@ let qcheck_des_batch_identity =
 (* ---------- plan bits pinned across epoch replans ---------- *)
 
 (* A churn run on a mid-size world, hashed after every epoch replan:
-   the admitted set, every slot's delivered set, the planner's
-   accumulated float state (bit patterns, not rounded decimals) and
-   its marginal-evaluation count. Between replans the admitted set,
-   the budget usage and the utility are hashed after every delta, so
-   the churn repairs (joins, leaves, cost-change and budget-resize
-   evictions) are pinned too. The expected digests were computed
-   before the greedy kernel was rewritten for speed; any change to the
-   evaluation order, the heap order, the eviction order or a single
-   float operation shows up here as a different hex string. The
+   the admitted set, every slot's delivered set and the planner's
+   accumulated float state (bit patterns, not rounded decimals).
+   Between replans the admitted set, the budget usage and the utility
+   are hashed after every delta, so the churn repairs (joins, leaves,
+   cost-change and budget-resize evictions) are pinned too. The digest
+   holds plan bits only; the run's marginal-evaluation count is pinned
+   beside it, so work the greedy stops doing changes the count and
+   leaves the digest alone. Any change to the evaluation order, the
+   heap order, the eviction order or a single float operation shows up
+   as a different hex string. The
    initial users have finite utility caps (joiners do not), so capped
    and uncapped slots both occur. A [quantized] world has equal costs
    and unit utilities, so the greedy meets exact ties in
@@ -196,7 +197,6 @@ let plan_digest ~quantized seed =
         bits capped;
         Array.iter bits cu)
       slots;
-    Printf.bprintf buf "|%d" (P.evals p);
     fold ()
   in
   let repair () =
@@ -218,19 +218,23 @@ let plan_digest ~quantized seed =
       end
       else repair ())
     log;
-  (!epochs, (C.report ctrl).Engine.Counters.evictions, Digest.to_hex !digest)
+  ( !epochs,
+    (C.report ctrl).Engine.Counters.evictions,
+    P.evals p,
+    Digest.to_hex !digest )
 
 let test_plan_digest_pinned () =
   List.iter
-    (fun (seed, quantized, epochs, evictions, hex) ->
-      let epochs', evictions', hex' = plan_digest ~quantized seed in
+    (fun (seed, quantized, epochs, evictions, evals, hex) ->
+      let epochs', evictions', evals', hex' = plan_digest ~quantized seed in
       let name what = Printf.sprintf "seed %d: %s" seed what in
       check_int (name "epochs") epochs epochs';
       check_int (name "evictions") evictions evictions';
+      check_int (name "marginal evals") evals evals';
       Alcotest.(check string) (name "plan digest") hex hex')
-    [ (1, false, 63, 41, "0aab83b433ad33b5693775a7c04d6848");
-      (4, true, 63, 67, "8b82387e57282f943822293a6e0f7981");
-      (5, true, 63, 50, "e3efe4cd57001552ef12acb7910f7337") ]
+    [ (1, false, 63, 41, 52_655, "e8e9ca1a588cc659123388010201be37");
+      (4, true, 63, 67, 47_432, "e67a34855be4a2d3da87950feb08b52f");
+      (5, true, 63, 50, 57_709, "1d68feabfff7390220276905c24d193f") ]
 
 (* ---------- chain + compacted store: crash anywhere ---------- *)
 
