@@ -141,6 +141,66 @@ let test_view_copy_isolated () =
     (V.active_count v);
   check_int "original version untouched" 0 (V.version v)
 
+(* [View.interested] against a model: every stream's set of active
+   slots that value it, over random join/leave sequences. Leaves free
+   low slots that later joins reuse, so inserts land mid-array; a full
+   major GC now and then moves the incidence arrays out of the minor
+   heap. *)
+type view_op = Join of bool list | Leave of int | Major
+
+let interested_model_prop ops =
+  let row = [| 1.; 0.; 2.; 0.; 0.; 1. |] in
+  let ns = Array.length row in
+  let v = V.of_instance (smd ~costs:(Array.make ns 1.) ~utilities:[| row |] ()) in
+  let model = Array.map (fun w -> if w > 0. then [ 0 ] else []) row in
+  let agrees () =
+    List.for_all
+      (fun s ->
+        let l = V.interested v s in
+        l = model.(s) && V.inc_len v s = List.length l)
+      (List.init ns Fun.id)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Join mask ->
+          let interests =
+            List.concat
+              (List.mapi
+                 (fun s wanted ->
+                   if wanted then [ (s, 1. +. float s, [| 0. |]) ] else [])
+                 mask)
+          in
+          let spec =
+            { D.utility_cap = infinity; capacity = [| 1. |]; interests }
+          in
+          (match V.apply v (D.User_join spec) with
+          | V.Joined u ->
+              List.iter
+                (fun (s, _, _) -> model.(s) <- List.merge compare [ u ] model.(s))
+                interests
+          | _ -> assert false)
+      | Leave k -> (
+          match V.active_slots v with
+          | [] -> ()
+          | active ->
+              let u = List.nth active (k mod List.length active) in
+              ignore (V.apply v (D.User_leave u));
+              Array.iteri (fun s l -> model.(s) <- List.filter (( <> ) u) l) model)
+      | Major -> Gc.full_major ());
+      agrees ())
+    ops
+
+let qcheck_interested_model =
+  qtest ~count:100 "view interested sets stay ascending and match a model"
+    QCheck2.Gen.(
+      list_size (int_range 0 150)
+        (frequency
+           [ (10, map (fun m -> Join m) (list_repeat 6 bool));
+             (6, map (fun k -> Leave k) nat);
+             (1, pure Major) ]))
+    interested_model_prop
+
 (* ---------- Planner: lazy vs eager ---------- *)
 
 let test_lazy_equals_eager () =
@@ -384,6 +444,7 @@ let suite =
     Alcotest.test_case "view clamping invariants" `Quick
       test_view_clamping_invariants;
     Alcotest.test_case "view copy isolation" `Quick test_view_copy_isolated;
+    qcheck_interested_model;
     Alcotest.test_case "lazy = eager plans" `Quick test_lazy_equals_eager;
     Alcotest.test_case "lazy saves evaluations" `Quick
       test_lazy_saves_on_big_instances;

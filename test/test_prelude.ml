@@ -310,6 +310,76 @@ let bitset_qcheck =
       !same
       && B.count b = Array.fold_left (fun n v -> if v then n + 1 else n) 0 model)
 
+(* ---------- Sorted_ints ---------- *)
+
+module SI = Prelude.Sorted_ints
+
+(* One step of the model check: insert, delete, or a full major GC,
+   which promotes the set's array so later shifts write into the major
+   heap. *)
+type si_op = Add of int | Remove of int | Major
+
+(* Every observer against the model, a sorted list of distinct ints. *)
+let si_agrees set model =
+  let a = Array.of_list model in
+  SI.length set = Array.length a
+  && SI.is_empty set = (a = [||])
+  && SI.to_list set = model
+  && SI.fold set ~init:[] ~f:(fun acc x -> x :: acc) = List.rev model
+  && SI.equal set (SI.copy set)
+  && Array.for_all Fun.id
+       (Array.mapi (fun i x -> SI.get set i = x && SI.index set x = i) a)
+
+(* Returns are checked at every step, the observers after every GC and
+   at the end. *)
+let si_model_prop ops =
+  let set = SI.create () in
+  let model = ref [] in
+  let step op =
+    match op with
+    | Add x ->
+        let fresh = not (List.mem x !model) in
+        if fresh then model := List.merge compare [ x ] !model;
+        SI.add set x = fresh && SI.mem set x
+    | Remove x ->
+        let present = List.mem x !model in
+        model := List.filter (( <> ) x) !model;
+        SI.remove set x = present && not (SI.mem set x)
+    | Major ->
+        Gc.full_major ();
+        si_agrees set !model
+  in
+  List.for_all step ops && si_agrees set !model
+
+(* Values span a range wider than any capacity the set starts with, so
+   runs grow it several times, and inserts land at the front, the
+   middle and the end. *)
+let sorted_ints_qcheck =
+  let x = QCheck2.Gen.int_range (-20) 600 in
+  qtest ~count:100 "sorted_ints mirrors a sorted list"
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (frequency
+           [ (24, map (fun x -> Add x) x);
+             (12, map (fun x -> Remove x) x);
+             (1, pure Major) ]))
+    si_model_prop
+
+let test_sorted_ints_basics () =
+  let s = SI.of_sorted_array [| 2; 5; 9 |] in
+  Alcotest.(check (list int)) "adopted" [ 2; 5; 9 ] (SI.to_list s);
+  check_int "index" 1 (SI.index s 5);
+  check_int "absent index" (-1) (SI.index s 4);
+  Alcotest.check_raises "unsorted"
+    (Invalid_argument "Sorted_ints.of_sorted_array: not strictly ascending")
+    (fun () -> ignore (SI.of_sorted_array [| 3; 3 |]));
+  Alcotest.check_raises "get out of range"
+    (Invalid_argument "Sorted_ints.get: out of range") (fun () ->
+      ignore (SI.get s 3));
+  SI.clear s;
+  check_bool "cleared" true (SI.is_empty s);
+  check_bool "re-add after clear" true (SI.add s 7)
+
 (* ---------- Pool ---------- *)
 
 module Pool = Prelude.Pool
@@ -434,6 +504,8 @@ let suite =
     ("bitset basics", `Quick, test_bitset_basics);
     ("bitset bounds", `Quick, test_bitset_bounds);
     bitset_qcheck;
+    ("sorted_ints basics", `Quick, test_sorted_ints_basics);
+    sorted_ints_qcheck;
     ("pool map order", `Quick, test_pool_map_order);
     ("pool float sum bits", `Quick, test_pool_float_sum_bits);
     ("pool argmax ties", `Quick, test_pool_argmax_ties);
