@@ -13,7 +13,9 @@ type t = {
   admitted : bool array;  (* stream *)
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
-  bound : float array;  (* stream -> upper bound on marginal utility *)
+  bound : float array;
+      (* stream -> upper bound on its marginal utility; scratch state
+         of one extend, seeded by [reset] *)
   cost_norm : float array;  (* stream; refilled for the candidates of every extend *)
   cand : int array;
       (* stream ids: the lazy greedy's heap, or the eager scan list *)
@@ -59,8 +61,6 @@ let create view =
     total = { value = 0. };
     evals = 0;
     eager_equiv = 0 }
-
-let view t = t.view
 
 let ensure_slots t =
   let need = View.num_slots t.view in
@@ -127,7 +127,16 @@ let add_evals t ~evals ~eager_equiv =
    float-returning helpers are [@inline]; and the helpers that are not
    take arrays and indices rather than floats. Plans are pinned bit for
    bit (the plan-digest test), so every float operation and its order
-   is part of the contract. *)
+   is part of the contract. No per-entry step calls into C or runs the
+   write barrier: [Float.min]/[Float.max] test sign bits with a C call,
+   so the kernel takes the ordered cases itself ([fmin]/[fmax]), and
+   int arrays shift by loop, not [Array.blit]. *)
+
+(* [Float.min]/[Float.max] for every input, NaN and signed zeros
+   included: the ordered cases are decided here, and only equal or
+   unordered operands reach the library function. *)
+let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
 
 (* [Float_ops.leq] at [Float_ops.default_eps]: the same operations in
    the same order, so every capacity and budget verdict is unchanged. *)
@@ -136,30 +145,42 @@ let eps = F.default_eps
 let[@inline] leq a b =
   a <= b
   || Float.is_finite a && Float.is_finite b
-     && a <= b +. (eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)))
+     && a <= b +. (eps *. fmax 1. (fmax (Float.abs a) (Float.abs b)))
 
 (* Whether a load row [ld.(li) ..] fits on top of the used capacity
-   row [cu.(base) ..] under the capacity row [cap.(base) ..]. *)
+   row [cu.(base) ..] under the capacity row [cap.(base) ..]. Measure
+   0 is tested before the loop over the rest, so a one-measure world
+   never enters it; the tests and their order are those of one loop
+   from 0. *)
 let[@inline] fits_row ~cu ~cap ~ld ~base ~li mc =
-  let ok = ref true in
-  let j = ref 0 in
-  while !ok && !j < mc do
-    if
-      not
-        (leq
-           (Array.unsafe_get cu (base + !j) +. Array.unsafe_get ld (li + !j))
-           (Array.unsafe_get cap (base + !j)))
-    then ok := false;
-    incr j
-  done;
-  !ok
+  if mc = 0 then true
+  else if
+    not
+      (leq
+         (Array.unsafe_get cu base +. Array.unsafe_get ld li)
+         (Array.unsafe_get cap base))
+  then false
+  else begin
+    let ok = ref true in
+    let j = ref 1 in
+    while !ok && !j < mc do
+      if
+        not
+          (leq
+             (Array.unsafe_get cu (base + !j) +. Array.unsafe_get ld (li + !j))
+             (Array.unsafe_get cap (base + !j)))
+      then ok := false;
+      incr j
+    done;
+    !ok
+  end
 
 (* Residual capped utility of slot u: how much more objective the user
    can still contribute. *)
 let[@inline] resid ~ucap ~du u =
   let uc = Array.unsafe_get ucap u in
   if uc = infinity then infinity
-  else Float.max 0. (uc -. Array.unsafe_get du u)
+  else fmax 0. (uc -. Array.unsafe_get du u)
 
 let fits_cap t u s =
   let v = t.view in
@@ -190,7 +211,7 @@ let set_cost_norm t s =
   let worst = ref 0. in
   for i = 0 to View.m v - 1 do
     let b = budget.(i) in
-    if b > 0. && b < infinity then worst := Float.max !worst (cost.(i) /. b)
+    if b > 0. && b < infinity then worst := fmax !worst (cost.(i) /. b)
   done;
   t.cost_norm.(s) <- !worst
 
@@ -219,7 +240,7 @@ let[@inline] eval_marginal t s =
     let u = Array.unsafe_get ids i in
     if fits_row ~cu ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc then begin
       let r = resid ~ucap ~du u in
-      if r > 0. then acc := !acc +. Float.min (Array.unsafe_get w i) r
+      if r > 0. then acc := !acc +. fmin (Array.unsafe_get w i) r
     end
   done;
   !acc
@@ -227,23 +248,21 @@ let[@inline] eval_marginal t s =
 (* Fold a new delivered utility into slot u's capped share of the
    objective. *)
 let[@inline] recap t ~ucap u =
-  let capped' = Float.min (Array.unsafe_get ucap u) t.delivered_util.(u) in
+  let capped' = fmin (Array.unsafe_get ucap u) t.delivered_util.(u) in
   t.total.value <- t.total.value +. (capped' -. t.capped.(u));
   t.capped.(u) <- capped'
 
 (* Deliver s to slot u unconditionally (bookkeeping only): utility
    [w.(i)], load row [ld.(i*mc) .. ld.(i*mc+mc-1)] — the stream's
    incidence arrays at u's position. *)
-let deliver_at t u s ~w ~ld i =
-  let v = t.view in
-  let mc = View.mc v in
+let[@inline] deliver_at t ~mc ~ucap u s ~w ~ld i =
   ignore (SI.add t.delivered.(u) s);
   let base = u * mc and li = i * mc in
   for j = 0 to mc - 1 do
     t.cap_used.(base + j) <- t.cap_used.(base + j) +. ld.(li + j)
   done;
   t.delivered_util.(u) <- t.delivered_util.(u) +. w.(i);
-  recap t ~ucap:(View.utility_caps v) u
+  recap t ~ucap u
 
 (* Accessor-path variant for cold call sites (join catch-up, forced
    restores) where the incidence index is not at hand. *)
@@ -268,7 +287,6 @@ let admit_fitting t s =
   for i = 0 to View.m v - 1 do
     t.used.(i) <- t.used.(i) +. cost.(i)
   done;
-  t.bound.(s) <- 0.;
   let mc = View.mc v in
   let n = View.inc_len v s in
   let ids = View.inc_ids v s in
@@ -281,7 +299,7 @@ let admit_fitting t s =
     if
       fits_row ~cu:t.cap_used ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc
       && resid ~ucap ~du:t.delivered_util u > 0.
-    then deliver_at t u s ~w ~ld i
+    then deliver_at t ~mc ~ucap u s ~w ~ld i
   done
 
 let admit t s =
@@ -301,7 +319,7 @@ let set_static_bound t s =
   let ucap = View.utility_caps v in
   let acc = ref 0. in
   for i = 0 to n - 1 do
-    acc := !acc +. Float.min (Array.unsafe_get w i) ucap.(Array.unsafe_get ids i)
+    acc := !acc +. fmin (Array.unsafe_get w i) ucap.(Array.unsafe_get ids i)
   done;
   t.bound.(s) <- !acc
 
@@ -360,7 +378,7 @@ let best_single t =
           for j = 0 to mc - 1 do
             if ld.(li + j) > cap.(base + j) then ok := false
           done;
-          if !ok then acc := !acc +. Float.min w.(i) ucap.(u)
+          if !ok then acc := !acc +. fmin w.(i) ucap.(u)
         done
       end;
       if s = 0 || not (!best_v >= !acc) then begin
@@ -445,6 +463,19 @@ let heap_pop t =
 let m_heap_pops = Obs.Metrics.counter "planner_heap_pops_total"
 let m_evals = Obs.Metrics.counter "planner_marginal_evals_total"
 
+(* Whether some candidate fits the residual budgets. Within one
+   extend [used] only grows, so once none fits, none ever will: the
+   plan is final and the rest of the loop could only evaluate and drop
+   candidates. Both modes stop there, and both test again only after
+   the next admission. *)
+let any_fits t =
+  let found = ref false and k = ref 0 in
+  while (not !found) && !k < t.cand_len do
+    found := fits_budget t t.cand.(!k);
+    incr k
+  done;
+  !found
+
 let extend_lazy t =
   let evals0 = t.evals in
   let pops = ref 0 in
@@ -456,10 +487,13 @@ let extend_lazy t =
     end
   done;
   let fresh = ref (-1) in
+  let fit_seen = ref false in
   let continue_ = ref true in
   while !continue_ && t.cand_len > 0 do
     let s = t.cand.(0) in
-    if s = !fresh then begin
+    if not !fit_seen then fit_seen := fits_budget t s || any_fits t;
+    if not !fit_seen then continue_ := false
+    else if s = !fresh then begin
       (* The top entry was evaluated at the current plan state and is
          still the best candidate: confirm it. An eager greedy would
          have re-evaluated every live candidate to reach the same
@@ -469,7 +503,10 @@ let extend_lazy t =
       incr pops;
       fresh := -1;
       if t.bound.(s) <= 0. then continue_ := false
-      else if fits_budget t s then admit_fitting t s
+      else if fits_budget t s then begin
+        admit_fitting t s;
+        fit_seen := false
+      end
       (* else: drop s for this extend, exactly as eager does. *)
     end
     else begin
@@ -491,26 +528,34 @@ let extend_eager t =
       t.cand_len <- t.cand_len + 1
     end
   done;
+  let fit_seen = ref false in
   let continue_ = ref true in
   while !continue_ && t.cand_len > 0 do
-    t.eager_equiv <- t.eager_equiv + t.cand_len;
-    let best = ref 0 and best_m = ref 0. in
-    for k = 0 to t.cand_len - 1 do
-      let s = t.cand.(k) in
-      let m = eval_marginal t s in
-      let b = t.cand.(!best) in
-      if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
-      then begin
-        best := k;
-        best_m := m
-      end
-    done;
-    if !best_m <= 0. then continue_ := false
+    if not !fit_seen then fit_seen := any_fits t;
+    if not !fit_seen then continue_ := false
     else begin
-      let s = t.cand.(!best) in
-      if fits_budget t s then admit_fitting t s;
-      Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
-      t.cand_len <- t.cand_len - 1
+      t.eager_equiv <- t.eager_equiv + t.cand_len;
+      let best = ref 0 and best_m = ref 0. in
+      for k = 0 to t.cand_len - 1 do
+        let s = t.cand.(k) in
+        let m = eval_marginal t s in
+        let b = t.cand.(!best) in
+        if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
+        then begin
+          best := k;
+          best_m := m
+        end
+      done;
+      if !best_m <= 0. then continue_ := false
+      else begin
+        let s = t.cand.(!best) in
+        if fits_budget t s then begin
+          admit_fitting t s;
+          fit_seen := false
+        end;
+        Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
+        t.cand_len <- t.cand_len - 1
+      end
     end
   done;
   Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
@@ -522,17 +567,6 @@ let extend ?(mode = Lazy) t =
   in
   Obs.Span.with_ ~name:"planner.extend" ~attrs (fun () ->
       match mode with Lazy -> extend_lazy t | Eager -> extend_eager t)
-
-(* Raise the bound of every non-admitted stream slot u is interested
-   in: marginals may have increased by at most u's full interest. *)
-let raise_bounds_for t u =
-  List.iter
-    (fun s ->
-      if not t.admitted.(s) then
-        t.bound.(s) <-
-          t.bound.(s)
-          +. Float.min (View.utility t.view u s) (View.utility_cap t.view u))
-    (View.interests t.view u)
 
 let note_join t u =
   ensure_slots t;
@@ -551,8 +585,7 @@ let note_join t u =
         && fits_cap t u s
         && resid ~ucap ~du:t.delivered_util u > 0.
       then deliver_raw t u s)
-    mine;
-  raise_bounds_for t u
+    mine
 
 let note_leave t u =
   if u < t.slots then begin
@@ -576,8 +609,8 @@ let[@inline] eviction_loss t s =
   for i = 0 to n - 1 do
     let u = ids.(i) in
     if SI.mem t.delivered.(u) s then begin
-      let after = Float.min ucap.(u) (t.delivered_util.(u) -. w.(i)) in
-      acc := !acc +. (t.capped.(u) -. Float.max 0. after)
+      let after = fmin ucap.(u) (t.delivered_util.(u) -. w.(i)) in
+      acc := !acc +. (t.capped.(u) -. fmax 0. after)
     end
   done;
   !acc
@@ -596,20 +629,17 @@ let evict t s =
       let base = u * mc and li = i * mc in
       for j = 0 to mc - 1 do
         t.cap_used.(base + j) <-
-          Float.max 0. (t.cap_used.(base + j) -. ld.(li + j))
+          fmax 0. (t.cap_used.(base + j) -. ld.(li + j))
       done;
-      t.delivered_util.(u) <- Float.max 0. (t.delivered_util.(u) -. w.(i));
-      recap t ~ucap u;
-      raise_bounds_for t u
+      t.delivered_util.(u) <- fmax 0. (t.delivered_util.(u) -. w.(i));
+      recap t ~ucap u
     end
   done;
   t.admitted.(s) <- false;
   let cost = View.cost_row v s in
   for i = 0 to View.m v - 1 do
-    t.used.(i) <- Float.max 0. (t.used.(i) -. cost.(i))
-  done;
-  (* The evicted stream is a candidate again, at its true marginal. *)
-  t.bound.(s) <- eval_marginal t s
+    t.used.(i) <- fmax 0. (t.used.(i) -. cost.(i))
+  done
 
 let recompute_used t =
   let v = t.view in
@@ -725,7 +755,6 @@ let force ?(admitted = []) t plan =
   let admit_forced s =
     if not t.admitted.(s) then begin
       t.admitted.(s) <- true;
-      t.bound.(s) <- 0.;
       let cost = View.cost_row v s in
       for i = 0 to View.m v - 1 do
         t.used.(i) <- t.used.(i) +. cost.(i)

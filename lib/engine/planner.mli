@@ -16,11 +16,14 @@
     exists as the reference for counting how many evaluations laziness
     saves.
 
+    The heap bounds are scratch state of one {!extend}: {!reset}
+    seeds them, and nothing between replans reads or keeps them.
+
     The [note_*] functions absorb churn between replans, keeping the
-    plan feasible and every heap bound a valid upper bound:
+    plan feasible:
     - a join delivers already-transmitted streams to the new slot
-      (free at the server) and raises affected candidates' bounds;
-    - a leave removes the slot's deliveries (marginals only shrink);
+      (free at the server);
+    - a leave removes the slot's deliveries;
     - cost/budget changes evict the least effective streams until the
       budgets hold again.
 
@@ -34,8 +37,6 @@ type mode = Lazy | Eager
 
 val create : View.t -> t
 (** Empty plan over the view. *)
-
-val view : t -> View.t
 
 val reset : t -> unit
 (** Drop the whole plan and re-seed every candidate bound with its
@@ -81,7 +82,11 @@ val admit : t -> int -> bool
 
 val extend : ?mode:mode -> t -> unit
 (** Greedily admit streams until no candidate has positive marginal
-    utility or none fits the budgets. Default [`Lazy]. *)
+    utility or none fits the budgets. Default [`Lazy]. Call it after
+    {!reset} (and any {!admit}s): it reads the bounds [reset] seeds.
+    It stops as soon as no remaining candidate fits the residual
+    budgets, without evaluating them: budget use only grows within
+    one extend, so none of them could be admitted later. *)
 
 val best_single : t -> (int * float) option
 (** The stream with the largest {e achievable} stand-alone capped
@@ -95,7 +100,10 @@ val best_single : t -> (int * float) option
 (** {1 Churn repairs} *)
 
 val note_join : t -> int -> unit
-(** A slot just became active in the view. *)
+(** A slot just became active in the view: deliver the admitted
+    streams it is interested in, most valuable first, where its
+    capacity and residual utility allow. Raises no bounds; the next
+    replan reseeds them. *)
 
 val note_leave : t -> int -> unit
 (** A slot was just deactivated in the view (its utilities are already

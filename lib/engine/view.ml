@@ -51,11 +51,16 @@ module Inc = struct
     end
 
   (* Insert slot [u] (not already present) with utility [wu] and the
-     load row [row.(off) .. row.(off+mc-1)]. *)
+     load row [row.(off) .. row.(off+mc-1)]. The ids shift by loop: an
+     [Array.blit] of an int array outside the minor heap runs the
+     write barrier per element. The float arrays have none to run. *)
   let add t ~mc u wu row off =
     let pos = lower_bound t u in
     ensure t ~mc (t.len + 1);
-    Array.blit t.ids pos t.ids (pos + 1) (t.len - pos);
+    let ids = t.ids in
+    for k = t.len downto pos + 1 do
+      ids.(k) <- ids.(k - 1)
+    done;
     Array.blit t.w pos t.w (pos + 1) (t.len - pos);
     Array.blit t.loads (pos * mc) t.loads ((pos + 1) * mc)
       ((t.len - pos) * mc);
@@ -67,7 +72,10 @@ module Inc = struct
   let remove t ~mc u =
     let pos = lower_bound t u in
     if pos < t.len && t.ids.(pos) = u then begin
-      Array.blit t.ids (pos + 1) t.ids pos (t.len - pos - 1);
+      let ids = t.ids in
+      for k = pos to t.len - 2 do
+        ids.(k) <- ids.(k + 1)
+      done;
       Array.blit t.w (pos + 1) t.w pos (t.len - pos - 1);
       Array.blit t.loads ((pos + 1) * mc) t.loads (pos * mc)
         ((t.len - pos - 1) * mc);

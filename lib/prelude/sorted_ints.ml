@@ -1,8 +1,10 @@
-(* Sorted dynamic int vector. Insert/remove shift the tail with
-   Array.blit (memmove); the sets the engine keeps here are small
-   relative to the slot universe, so the shifts stay cheap while
-   iteration — the hot operation — touches exactly the members, in
-   ascending order. *)
+(* Sorted dynamic int vector. Insert/remove shift the tail; the sets
+   the engine keeps here are small relative to the slot universe, so
+   the shifts stay cheap while iteration — the hot operation — touches
+   exactly the members, in ascending order. The shifts are plain loops:
+   on an array outside the minor heap [Array.blit] is a C call that
+   runs the write barrier per element, where a store into an
+   [int array] needs none. *)
 
 type t = { mutable data : int array; mutable len : int }
 
@@ -51,8 +53,11 @@ let add t x =
   if i < t.len && t.data.(i) = x then false
   else begin
     ensure_capacity t;
-    Array.blit t.data i t.data (i + 1) (t.len - i);
-    t.data.(i) <- x;
+    let d = t.data in
+    for k = t.len downto i + 1 do
+      d.(k) <- d.(k - 1)
+    done;
+    d.(i) <- x;
     t.len <- t.len + 1;
     true
   end
@@ -61,7 +66,10 @@ let remove t x =
   let i = lower_bound t x in
   if i >= t.len || t.data.(i) <> x then false
   else begin
-    Array.blit t.data (i + 1) t.data i (t.len - i - 1);
+    let d = t.data in
+    for k = i to t.len - 2 do
+      d.(k) <- d.(k + 1)
+    done;
     t.len <- t.len - 1;
     true
   end

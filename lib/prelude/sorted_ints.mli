@@ -1,7 +1,8 @@
 (** Sorted dynamic integer sets.
 
     A growable vector of distinct ints kept in ascending order:
-    membership and rank by binary search, insert/remove by [memmove].
+    membership and rank by binary search, insert/remove by shifting
+    the tail.
     The engine uses these for sparse index sets whose *iteration order
     must be a function of the member set alone* — e.g. the per-stream
     interested-slot sets the planner accumulates floats over. A hash

@@ -233,6 +233,34 @@ let test_lazy_saves_on_big_instances () =
     true
     (lazy_evals < eager_evals)
 
+(* One budget of 3 and 50 unit-cost streams, stream s valued by its
+   own two users only: the greedy admits 3 streams and then no
+   candidate fits. Lazy confirms each of the 3 on one evaluation and
+   stops; eager evaluates every live candidate in the 3 rounds that
+   admit, 50 + 49 + 48, and none after. A greedy that went on would
+   evaluate each of the 47 unfit candidates at least once. *)
+let test_greedy_stops_at_spent_budget () =
+  let ns = 50 in
+  let utilities =
+    Array.init (2 * ns) (fun u ->
+        Array.init ns (fun s ->
+            if s = u / 2 then 1. +. float ((u * 7) mod 10) /. 10. else 0.))
+  in
+  let v = V.of_instance (smd ~budget:3. ~costs:(Array.make ns 1.) ~utilities ()) in
+  let run mode =
+    let p = C.scratch_planner ~mode v in
+    check_int "three streams admitted" 3 (List.length (P.admitted p));
+    (P.admitted p, P.evals p)
+  in
+  let lazy_plan, lazy_evals = run P.Lazy in
+  let eager_plan, eager_evals = run P.Eager in
+  Alcotest.(check (list int)) "same plan" lazy_plan eager_plan;
+  check_bool
+    (Printf.sprintf "lazy evaluates fewer than %d (%d)" ns lazy_evals)
+    true (lazy_evals < ns);
+  check_int "eager evaluates only the admitting rounds" (50 + 49 + 48)
+    eager_evals
+
 (* ---------- Controller invariants under churn ---------- *)
 
 (* The planner's kernel skips the per-slot membership test for a
@@ -448,6 +476,8 @@ let suite =
     Alcotest.test_case "lazy = eager plans" `Quick test_lazy_equals_eager;
     Alcotest.test_case "lazy saves evaluations" `Quick
       test_lazy_saves_on_big_instances;
+    Alcotest.test_case "greedy stops at a spent budget" `Quick
+      test_greedy_stops_at_spent_budget;
     Alcotest.test_case "controller consistency under churn" `Quick
       test_controller_stays_consistent;
     Alcotest.test_case "replan matches scratch solve" `Quick

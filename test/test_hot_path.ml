@@ -232,9 +232,9 @@ let test_plan_digest_pinned () =
       check_int (name "evictions") evictions evictions';
       check_int (name "marginal evals") evals evals';
       Alcotest.(check string) (name "plan digest") hex hex')
-    [ (1, false, 63, 41, 52_655, "e8e9ca1a588cc659123388010201be37");
-      (4, true, 63, 67, 47_432, "e67a34855be4a2d3da87950feb08b52f");
-      (5, true, 63, 50, 57_709, "1d68feabfff7390220276905c24d193f") ]
+    [ (1, false, 63, 41, 37_360, "e8e9ca1a588cc659123388010201be37");
+      (4, true, 63, 67, 21_114, "e67a34855be4a2d3da87950feb08b52f");
+      (5, true, 63, 50, 42_185, "1d68feabfff7390220276905c24d193f") ]
 
 (* ---------- chain + compacted store: crash anywhere ---------- *)
 
