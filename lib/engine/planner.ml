@@ -13,9 +13,7 @@ type t = {
   admitted : bool array;  (* stream *)
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
-  bound : float array;
-      (* stream -> upper bound on its marginal utility; scratch state
-         of one extend, seeded by [reset] *)
+  bound : float array;  (* stream -> upper bound; scratch of one extend *)
   cost_norm : float array;  (* stream; refilled for the candidates of every extend *)
   cand : int array;
       (* stream ids: the lazy greedy's heap, or the eager scan list *)
@@ -128,13 +126,10 @@ let add_evals t ~evals ~eager_equiv =
    take arrays and indices rather than floats. Plans are pinned bit for
    bit (the plan-digest test), so every float operation and its order
    is part of the contract. No per-entry step calls into C or runs the
-   write barrier: [Float.min]/[Float.max] test sign bits with a C call,
-   so the kernel takes the ordered cases itself ([fmin]/[fmax]), and
-   int arrays shift by loop, not [Array.blit]. *)
+   write barrier. *)
 
 (* [Float.min]/[Float.max] for every input, NaN and signed zeros
-   included: the ordered cases are decided here, and only equal or
-   unordered operands reach the library function. *)
+   included, without their two sign-bit C calls in the ordered cases. *)
 let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
 let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
 
@@ -463,11 +458,12 @@ let heap_pop t =
 let m_heap_pops = Obs.Metrics.counter "planner_heap_pops_total"
 let m_evals = Obs.Metrics.counter "planner_marginal_evals_total"
 
-(* Whether some candidate fits the residual budgets. Within one
-   extend [used] only grows, so once none fits, none ever will: the
-   plan is final and the rest of the loop could only evaluate and drop
-   candidates. Both modes stop there, and both test again only after
-   the next admission. *)
+(* Whether some candidate fits the residual budgets, testing the heap
+   top first. Within one extend [used] only grows, so once none fits,
+   none ever will: the plan is final, and the rest of the loop could
+   only evaluate and drop candidates. Both modes stop there. A
+   candidate that fits stays in the list until it is admitted, so each
+   mode tests again only after an admission. *)
 let any_fits t =
   let found = ref false and k = ref 0 in
   while (not !found) && !k < t.cand_len do
@@ -489,11 +485,10 @@ let extend_lazy t =
   let fresh = ref (-1) in
   let fit_seen = ref false in
   let continue_ = ref true in
-  while !continue_ && t.cand_len > 0 do
+  while !continue_ && t.cand_len > 0 && (!fit_seen || any_fits t) do
+    fit_seen := true;
     let s = t.cand.(0) in
-    if not !fit_seen then fit_seen := fits_budget t s || any_fits t;
-    if not !fit_seen then continue_ := false
-    else if s = !fresh then begin
+    if s = !fresh then begin
       (* The top entry was evaluated at the current plan state and is
          still the best candidate: confirm it. An eager greedy would
          have re-evaluated every live candidate to reach the same
@@ -530,32 +525,29 @@ let extend_eager t =
   done;
   let fit_seen = ref false in
   let continue_ = ref true in
-  while !continue_ && t.cand_len > 0 do
-    if not !fit_seen then fit_seen := any_fits t;
-    if not !fit_seen then continue_ := false
-    else begin
-      t.eager_equiv <- t.eager_equiv + t.cand_len;
-      let best = ref 0 and best_m = ref 0. in
-      for k = 0 to t.cand_len - 1 do
-        let s = t.cand.(k) in
-        let m = eval_marginal t s in
-        let b = t.cand.(!best) in
-        if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
-        then begin
-          best := k;
-          best_m := m
-        end
-      done;
-      if !best_m <= 0. then continue_ := false
-      else begin
-        let s = t.cand.(!best) in
-        if fits_budget t s then begin
-          admit_fitting t s;
-          fit_seen := false
-        end;
-        Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
-        t.cand_len <- t.cand_len - 1
+  while !continue_ && t.cand_len > 0 && (!fit_seen || any_fits t) do
+    fit_seen := true;
+    t.eager_equiv <- t.eager_equiv + t.cand_len;
+    let best = ref 0 and best_m = ref 0. in
+    for k = 0 to t.cand_len - 1 do
+      let s = t.cand.(k) in
+      let m = eval_marginal t s in
+      let b = t.cand.(!best) in
+      if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
+      then begin
+        best := k;
+        best_m := m
       end
+    done;
+    if !best_m <= 0. then continue_ := false
+    else begin
+      let s = t.cand.(!best) in
+      if fits_budget t s then begin
+        admit_fitting t s;
+        fit_seen := false
+      end;
+      Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
+      t.cand_len <- t.cand_len - 1
     end
   done;
   Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
