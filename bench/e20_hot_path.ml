@@ -72,15 +72,41 @@ let world () =
 
 (* ----- SoA vs boxed marginal evaluation ----- *)
 
+(* The planner's ordered min/max: [Float.min]/[Float.max] for every
+   input, without their sign-bit C calls in the ordered cases. *)
+let[@inline] fmin a b = if a < b then a else if b < a then b else Float.min a b
+let[@inline] fmax a b = if a > b then a else if b > a then b else Float.max a b
+
 (* [Float_ops.leq] at its default tolerance, inlined as the planner
    does: the call through [Float_ops] boxes both operands. *)
 let[@inline] leq a b =
   a <= b
   || Float.is_finite a && Float.is_finite b
-     && a
-        <= b
-           +. (F.default_eps
-              *. Float.max 1. (Float.max (Float.abs a) (Float.abs b)))
+     && a <= b +. (F.default_eps *. fmax 1. (fmax (Float.abs a) (Float.abs b)))
+
+(* The planner's [fits_row]: measure 0, then the loop over the rest. *)
+let[@inline] fits_row ~cu ~cap ~ld ~base ~li mc =
+  if mc = 0 then true
+  else if
+    not
+      (leq
+         (Array.unsafe_get cu base +. Array.unsafe_get ld li)
+         (Array.unsafe_get cap base))
+  then false
+  else begin
+    let ok = ref true in
+    let j = ref 1 in
+    while !ok && !j < mc do
+      if
+        not
+          (leq
+             (Array.unsafe_get cu (base + !j) +. Array.unsafe_get ld (li + !j))
+             (Array.unsafe_get cap (base + !j)))
+      then ok := false;
+      incr j
+    done;
+    !ok
+  end
 
 (* One marginal-evaluation pass over every stream of the view, in the
    planner's hot-loop shape, against a synthetic half-used capacity
@@ -100,26 +126,13 @@ let eval_soa v ~cap_used ~delivered_util =
     let acc = ref 0. in
     for i = 0 to n - 1 do
       let u = Array.unsafe_get ids i in
-      let base = u * mc and li = i * mc in
-      let ok = ref true in
-      let j = ref 0 in
-      while !ok && !j < mc do
-        if
-          not
-            (leq
-               (Array.unsafe_get cap_used (base + !j)
-               +. Array.unsafe_get ld (li + !j))
-               (Array.unsafe_get cap (base + !j)))
-        then ok := false;
-        incr j
-      done;
-      if !ok then begin
+      if fits_row ~cu:cap_used ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc then begin
         let uc = Array.unsafe_get ucap u in
         let r =
           if uc = infinity then infinity
-          else Float.max 0. (uc -. Array.unsafe_get delivered_util u)
+          else fmax 0. (uc -. Array.unsafe_get delivered_util u)
         in
-        if r > 0. then acc := !acc +. Float.min (Array.unsafe_get w i) r
+        if r > 0. then acc := !acc +. fmin (Array.unsafe_get w i) r
       end
     done;
     total := !total +. !acc
