@@ -1,7 +1,7 @@
 (* Pins on the two replay loops: the mmd_engine CLI's printed output in
-   single, batched, sharded, replicated, WAL-dir crash/resume and
-   snapshot crash/resume modes, and the deterministic fields of the
-   discrete-event driver's stats.
+   single, batched, sharded, replicated, sharded-replicated, WAL-dir
+   crash/resume and snapshot crash/resume modes, and the deterministic
+   fields of the discrete-event driver's stats.
    Both are compared against committed files under golden/, so a
    rewrite of either loop has to reproduce them byte for byte.
 
@@ -146,6 +146,13 @@ let cli_cases =
   [ ("engine_plain.txt", [ gen ]);
     ("engine_batch.txt", [ gen @ [ "--batch"; "64" ] ]);
     ("engine_sharded.txt", [ gen @ [ "--shards"; "2"; "--rebalance-every"; "50" ] ]);
+    ( "engine_sharded_replicated.txt",
+      let sharded =
+        gen
+        @ [ "--shards"; "2"; "--replicas"; "2"; "--rebalance-every"; "50";
+            "--wal-out"; "TMP/shards" ]
+      in
+      [ sharded; sharded @ [ "--batch"; "64" ] ] );
     ( "engine_replicated.txt",
       [ gen @ [ "--replicas"; "2"; "--kill-primary-at"; "200" ] ] );
     ( "engine_wal_dir.txt",
