@@ -151,7 +151,7 @@ let run () =
                 (fun i d ->
                   if i = kill then begin
                     G.kill_primary g;
-                    Replica.Chaos.ensure_promoted g
+                    G.ensure_promoted g
                   end;
                   ignore (G.apply g d))
                 log;

@@ -44,9 +44,6 @@ let kind_to_string = function
   | Link_reset r -> Printf.sprintf "link-reset @%d" r
   | Hand_over -> "hand-over"
 
-let pp_event ppf e =
-  Format.fprintf ppf "@%d %s" e.at (kind_to_string e.kind)
-
 let random_kind rng ~num_streams =
   match Prelude.Rng.int rng 5 with
   | 0 -> Corrupt_log

@@ -81,7 +81,6 @@ exception Injected of string
 (** The exception {!raise_in_pool} throws (from inside a pool task). *)
 
 val kind_to_string : kind -> string
-val pp_event : Format.formatter -> event -> unit
 
 val generate :
   rng:Prelude.Rng.t -> deltas:int -> num_streams:int -> count:int -> schedule

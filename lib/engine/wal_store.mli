@@ -8,13 +8,12 @@
 
 type t
 
-val default_segment_records : int
-(** 1024 — small enough that a checkpoint retires segments promptly,
-    large enough that a segment outlives many batches. *)
-
 val open_dir : ?segment_records:int -> string -> t
-(** Open (creating if needed) a segmented WAL in [dir]. If segments
-    already exist, appending resumes after the last record on disk.
+(** Open (creating if needed) a segmented WAL in [dir], capping each
+    segment at [segment_records] (default 1024 — small enough that a
+    checkpoint retires segments promptly, large enough that a segment
+    outlives many batches). If segments already exist, appending
+    resumes after the last record on disk.
     @raise Invalid_argument when [segment_records < 1]. *)
 
 val append : t -> Delta.t -> int

@@ -38,9 +38,6 @@ val emit :
     [dense_limit] cells (default 2e6), sparse otherwise or when the
     dense path fails. *)
 
-val dense_cells : Mmd.Instance.t -> int
-(** Tableau cells a dense solve of the instance would allocate. *)
-
 val check :
   ?tol:float -> Mmd.Instance.t -> Cert.Certificate.t -> Cert.Checker.verdict
 (** Convenience: [Cert.Checker.check] against the instance's problem

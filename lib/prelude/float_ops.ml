@@ -16,7 +16,6 @@ let leq ?(eps = default_eps) a b =
 let geq ?(eps = default_eps) a b = leq ~eps b a
 let lt ?(eps = default_eps) a b = a < b && not (approx_equal ~eps a b)
 let gt ?(eps = default_eps) a b = lt ~eps b a
-let is_zero ?(eps = default_eps) x = approx_equal ~eps x 0.
 
 let clamp ~lo ~hi x =
   if lo > hi then invalid_arg "Float_ops.clamp: lo > hi";

@@ -21,9 +21,6 @@ val lt : ?eps:float -> float -> float -> bool
 val gt : ?eps:float -> float -> float -> bool
 (** Strictly greater, with tolerance. *)
 
-val is_zero : ?eps:float -> float -> bool
-(** [is_zero x] is [approx_equal x 0.]. *)
-
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi x] forces [x] into the closed interval [[lo, hi]].
     Requires [lo <= hi]. *)

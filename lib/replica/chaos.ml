@@ -11,8 +11,6 @@ let fault_of_kind = function
   | F.Link_reset _ -> Some Transport.Reset
   | _ -> None
 
-let ensure_promoted = Group.ensure_promoted
-
 let fire g (e : F.event) =
   match e.F.kind with
   | F.Drop_frame r | F.Dup_frame r | F.Reorder_frames r | F.Truncate_frame r
@@ -28,7 +26,7 @@ let fire g (e : F.event) =
   | F.Follower_crash r -> ignore (Group.crash_follower g r)
   | F.Primary_crash ->
       Group.kill_primary g;
-      ensure_promoted g
+      Group.ensure_promoted g
   | F.Heartbeat_partition n ->
       Group.partition_heartbeats g n;
       (* Let the partition play out: the detector backs off (short) or
@@ -36,7 +34,7 @@ let fire g (e : F.event) =
       for _ = 1 to n do
         Group.tick g
       done;
-      ensure_promoted g
+      Group.ensure_promoted g
   | F.Budget_shock _ | F.Stream_outage _ -> (
       match F.shock_delta (C.view (Group.primary g)) e.F.kind with
       | Some shock -> ignore (Group.absorb_shock g shock)

@@ -34,7 +34,3 @@ val reference :
 val fire : Group.t -> Engine.Fault.event -> unit
 (** Fire one fault now (exposed for drivers that interleave their own
     delta source with faults). *)
-
-val ensure_promoted : Group.t -> unit
-(** {!Group.ensure_promoted}. Drivers call this before applying a
-    delta that may follow a primary kill. *)

@@ -150,7 +150,6 @@ let connect_peers endpoints =
         packed = 0 })
     endpoints
 
-let peer_acked p = p.packed
 
 let send_quiet p payload =
   try TS.send_frame p.pfd payload with Unix.Unix_error _ -> ()

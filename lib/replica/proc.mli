@@ -59,8 +59,6 @@ val connect_peers : Transport_socket.endpoint list -> peer list
 (** Dial every follower (with {!Transport_socket.connect}'s backoff,
     so followers may still be starting). *)
 
-val peer_acked : peer -> int
-
 val ship : peer list -> term:int -> shock:bool -> string -> unit
 (** Send one WAL record, in a [Data] or [Shock] frame, to every peer (write errors are
     swallowed — a dead peer is the chaos being tested). *)

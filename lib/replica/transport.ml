@@ -26,10 +26,6 @@ let no_stats =
     partitions = 0;
     resets = 0 }
 
-let stats_total s =
-  s.drops + s.dups + s.reorders + s.truncations + s.holds + s.partitions
-  + s.resets
-
 module Gate = struct
   type io = {
     deliver : string -> unit;

@@ -51,9 +51,6 @@ type stats = {
   resets : int;
 }
 
-val stats_total : stats -> int
-(** Sum of every counter — faults applied over the link's lifetime. *)
-
 (** The armable fault stage, shared by every backend. A backend
     supplies its primitive I/O as {!Gate.io} callbacks and routes each
     outgoing frame through {!Gate.send}; the gate decides which bytes

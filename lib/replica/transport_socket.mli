@@ -27,9 +27,6 @@ type endpoint =
   | Tcp of string * int  (** host, port; port 0 binds an ephemeral one *)
   | Unix_sock of string  (** filesystem path *)
 
-val endpoint_to_string : endpoint -> string
-(** ["host:port"] or ["unix:path"] — the CLI's wire-address syntax. *)
-
 val endpoint_of_string : string -> (endpoint, string) result
 (** Parse the CLI syntax: ["unix:<path>"], or ["<host>:<port>"]. *)
 
@@ -38,10 +35,6 @@ val endpoint_of_string : string -> (endpoint, string) result
 val listen : ?backlog:int -> endpoint -> Unix.file_descr
 (** Bind and listen. A [Unix_sock] path is unlinked first; a [Tcp]
     socket gets [SO_REUSEADDR]. *)
-
-val bound_endpoint : Unix.file_descr -> endpoint
-(** The endpoint a listener actually bound — resolves a [Tcp] port 0
-    to the ephemeral port the kernel picked. *)
 
 val accept : ?deadline_s:float -> Unix.file_descr -> Unix.file_descr option
 (** One connection, or [None] if nothing arrived within [deadline_s]

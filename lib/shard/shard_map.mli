@@ -51,17 +51,15 @@ val route : t -> counts:int array -> int
     the minimal count. When counts are balanced this walks the same
     round-robin as {!plan}. *)
 
-val targets : t -> counts:int array -> int array
-(** The balanced population the map steers toward given the current
-    total: every entry is [⌊U/N⌋] or [⌊U/N⌋+1], and the shards
-    currently holding the most users keep the extra unit (ties broken
-    by interleave position) so the repair distance is minimal. *)
-
 type move = { from_shard : int; to_shard : int }
 
 val rebalance : t -> counts:int array -> k:int -> move list
-(** At most [k] single-user moves from over- to under-target shards
-    (against {!targets}), pairing the largest surplus with the largest
-    deficit first, ties broken by interleave position. Applying all
+(** At most [k] single-user moves from over- to under-target shards,
+    pairing the largest surplus with the largest deficit first, ties
+    broken by interleave position. The target is the balanced
+    population for the current total: every entry is [⌊U/N⌋] or
+    [⌊U/N⌋+1], and the shards currently holding the most users keep
+    the extra unit (ties broken by interleave position) so the repair
+    distance is minimal. Applying all
     returned moves to [counts] and calling again eventually returns
     [[]] — the fixpoint is exact balance. Deterministic. *)

@@ -205,7 +205,7 @@ let failover_prop (seed, cut_frac, policy) =
       ignore (G.apply g d);
       if i + 1 = k then begin
         G.kill_primary g;
-        Chaos.ensure_promoted g
+        G.ensure_promoted g
       end)
     log;
   check_bool "quiesce" true (G.quiesce g);
@@ -243,7 +243,7 @@ let test_promotes_most_caught_up () =
       ignore (G.apply g d);
       if i = 50 then begin
         G.kill_primary g;
-        Chaos.ensure_promoted g
+        G.ensure_promoted g
       end)
     log;
   check_bool "quiesce" true (G.quiesce g);
