@@ -755,7 +755,7 @@ let single_mode o ~policy ~text ~wal_writer =
       (C.deltas_applied ctrl) (C.since_replan ctrl);
     Format.printf "%a@." Engine.Counters.pp_report (C.report ctrl)
   in
-  ( { node = { (C.node ctrl) with apply_batch };
+  ( { node = { (Engine.Node.of_controller ctrl) with apply_batch };
       events;
       already = C.deltas_applied ctrl;
       seal;
@@ -836,12 +836,14 @@ let replicated_mode o ~policy ~replicas ~wal_writer inst =
 
 (* ---------- Sharded mode ---------- *)
 
-(* Every delta is routed through a Shard.Router over N full engine
-   stacks. --wal-out names a DIRECTORY holding shard-<i>.wal (each
-   replays standalone into a controller over that shard's initial
-   sub-world). *)
+(* Every delta is routed through a Shard.Router over N engine nodes:
+   controllers, or with --replicas replica groups, whose handles stay
+   here for the end-of-run quiesce. --wal-out names a DIRECTORY
+   holding shard-<i>.wal (each replays standalone into a controller
+   over that shard's initial sub-world). *)
 let sharded_mode o ~policy ~shards inst =
   let module R = Shard.Router in
+  let module G = Replica.Group in
   let split =
     match o.split with
     | None | Some "even" -> R.Even
@@ -860,10 +862,19 @@ let sharded_mode o ~policy ~shards inst =
     | None -> Array.init shards (fun i -> Printf.sprintf "rack%d" (i mod 2))
   in
   let map = Shard.Shard_map.create ~seed:o.seed ~tags () in
-  let router =
-    R.create ~policy ~split ?wal_dir:o.wal_out ?replicas:o.replicas
-      ?heartbeat_every:o.heartbeat_every ~map inst
+  let groups = ref [] in
+  let build =
+    match o.replicas with
+    | Some replicas when replicas > 0 ->
+        let config = G.heartbeat_config o.heartbeat_every in
+        Some
+          (fun ~labels ?wal inst ->
+            let g = G.create ~policy ~config ~labels ?wal ~replicas inst in
+            groups := g :: !groups;
+            G.node g)
+    | _ -> None
   in
+  let router = R.create ~policy ~split ?wal_dir:o.wal_out ?build ~map inst in
   let moves = ref 0 in
   let events =
     match o.rebalance_every with
@@ -884,13 +895,14 @@ let sharded_mode o ~policy ~shards inst =
       (R.counts router);
     Format.printf "@.";
     if !moves > 0 then Format.printf "rebalance moves: %d@." !moves;
-    if R.replicated router then begin
-      let converged = R.quiesce_replicas router in
-      Format.printf "replication: %d replica(s) per shard, %d failover(s)%s@."
-        (Option.value ~default:0 o.replicas)
-        (R.failovers router)
-        (if converged then "" else " [followers NOT converged]")
-    end;
+    (match List.rev !groups with
+    | [] -> ()
+    | groups ->
+        let converged = List.for_all G.quiesce groups in
+        Format.printf "replication: %d replica(s) per shard, %d failover(s)%s@."
+          (Option.value ~default:0 o.replicas)
+          (List.fold_left (fun n g -> n + G.failovers g) 0 groups)
+          (if converged then "" else " [followers NOT converged]"));
     Format.printf "sharded utility: %.6g@." (R.utility router);
     if o.certify then
       match R.certify router with

@@ -275,15 +275,6 @@ let report t =
   Counters.report t.counters ~evals:(Planner.evals t.planner)
     ~eager_equiv:(Planner.eager_equiv t.planner)
 
-let node t =
-  { Node.apply = apply t;
-    apply_batch = apply_batch t;
-    view = (fun () -> t.view);
-    utility = (fun () -> utility t);
-    replan = (fun () -> replan t);
-    report = (fun () -> report t);
-    close = ignore }
-
 let scratch_planner ?(mode = Planner.Eager) ?(pinned = []) view =
   let planner = Planner.create view in
   Planner.set_pinned planner pinned;

@@ -133,10 +133,6 @@ val utility_at_replan : t -> float
 val counters : t -> Counters.t
 val report : t -> Counters.report
 
-val node : t -> Node.t
-(** The controller as a {!Node.t}, the leaf every deployment shape
-    builds on. [close] is a no-op: a controller owns no resources. *)
-
 val scratch : ?mode:Planner.mode -> ?pinned:int list -> View.t -> float * int
 (** [(utility, marginal evals)] of a from-scratch solve of the view's
     current state with the same algorithm a replan runs (greedy +

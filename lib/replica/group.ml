@@ -688,9 +688,14 @@ let ensure_promoted g =
   if not g.primary_alive then ignore (fail_over g)
 
 let node g =
-  { Engine.Node.apply = (fun d -> ensure_promoted g; apply g d);
+  { Engine.Node.apply =
+      (fun ?flush d ->
+        ensure_promoted g;
+        apply ?flush g d);
     apply_batch = (fun ds -> ensure_promoted g; ignore (apply_batch g ds));
+    flush = (fun () -> flush_wal g);
     view = (fun () -> C.view g.primary);
+    controllers = (fun () -> [ g.primary ]);
     utility = (fun () -> C.utility g.primary);
     replan = (fun () -> C.replan g.primary);
     report = (fun () -> C.report g.primary);

@@ -163,9 +163,10 @@ val ensure_promoted : t -> unit
 val node : t -> Engine.Node.t
 (** The group as an {!Engine.Node.t}: every apply first
     {!ensure_promoted}, so a primary killed between deltas is replaced
-    before the next one lands; the read side ([view], [utility],
-    [report]) and [replan] go to the current primary. [close] is
-    {!close}; an attached WAL stays the caller's to close. *)
+    before the next one lands; the read side ([view], [controllers],
+    [utility], [report]) and [replan] go to the current primary.
+    [flush] is {!flush_wal}. [close] is {!close}; an attached WAL stays
+    the caller's to close. *)
 
 (** {1 Chaos surface} *)
 

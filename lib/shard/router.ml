@@ -5,19 +5,21 @@ module I = Mmd.Instance
 
 type budget_split = Even | Demand
 
-(* A shard is either one bare controller or a whole replica group
-   (primary + followers behind WAL shipping). Every access to "the
-   shard's controller" goes through [ctrl], which in replicated mode
-   resolves to the group's current primary — so a failover inside a
-   shard is invisible to the routing tables. *)
-type backend = Plain of C.t array | Replicated of Replica.Group.t array
+type builder =
+  labels:(string * string) list ->
+  ?wal:Engine.Wal.writer ->
+  Mmd.Instance.t ->
+  Engine.Node.t
 
+(* Each shard is a node: the router routes deltas to it and reads its
+   view, utility and controllers, and never knows what executes them —
+   a bare controller, or a replica group whose failover is its own
+   business. *)
 type t = {
   map : Shard_map.t;
   split : budget_split;
   mirror : V.t;
-  backend : backend;
-  wals : Engine.Wal.writer array option;
+  shards : Engine.Node.t array;
   (* Global slot id -> owner. The mirror allocates global ids with the
      unsharded engine's exact slot discipline, so these arrays are
      dense and grow with the mirror. *)
@@ -29,11 +31,7 @@ type t = {
   mutable certified_ratio : float;
 }
 
-let ctrl t i =
-  match t.backend with
-  | Plain cs -> cs.(i)
-  | Replicated gs -> Replica.Group.primary gs.(i)
-
+let shard_view t i = t.shards.(i).Engine.Node.view ()
 let shard_label i = [ ("shard", string_of_int i) ]
 
 (* The shard's initial world: the full catalog under its budget share,
@@ -49,8 +47,14 @@ let sub_instance inst ~assign ~shard ~share =
 let slot_demand view l =
   List.fold_left (fun acc s -> acc +. V.utility view l s) 0. (V.interests view l)
 
-let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?replicas
-    ?heartbeat_every ~map inst =
+let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?build ~map inst =
+  let build =
+    match build with
+    | Some build -> build
+    | None ->
+        fun ~labels ?wal inst ->
+          Engine.Node.of_controller ?wal (C.create ~policy ~labels inst)
+  in
   let n = Shard_map.num_shards map in
   let nu = I.num_users inst in
   let assign = Shard_map.plan map ~users:nu in
@@ -59,37 +63,38 @@ let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?replicas
   let share =
     Array.init (I.m inst) (fun i -> I.budget inst i /. float_of_int n)
   in
-  let wals =
-    Option.map
-      (fun dir ->
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        Array.init n (fun i ->
-            Engine.Wal.append_file (Filename.concat dir
-               (Printf.sprintf "shard-%d.wal" i))))
-      wal_dir
-  in
-  let backend =
-    match replicas with
-    | None | Some 0 ->
-        Plain
-          (Array.init n (fun i ->
-               C.create ~policy ~labels:(shard_label i)
-                 (sub_instance inst ~assign ~shard:i ~share)))
-    | Some r ->
-        let config = Replica.Group.heartbeat_config heartbeat_every in
-        Replicated
-          (Array.init n (fun i ->
-               Replica.Group.create ~policy ~config ~labels:(shard_label i)
-                 ?wal:(Option.map (fun ws -> ws.(i)) wals)
-                 ~replicas:r
-                 (sub_instance inst ~assign ~shard:i ~share)))
+  Option.iter
+    (fun dir ->
+      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+    wal_dir;
+  (* The router opens each shard's WAL, so its node's [close] also
+     closes the writer after whatever the node itself releases. *)
+  let shard i =
+    let wal =
+      Option.map
+        (fun dir ->
+          Engine.Wal.append_file
+            (Filename.concat dir (Printf.sprintf "shard-%d.wal" i)))
+        wal_dir
+    in
+    let node =
+      build ~labels:(shard_label i) ?wal
+        (sub_instance inst ~assign ~shard:i ~share)
+    in
+    match wal with
+    | None -> node
+    | Some w ->
+        { node with
+          close =
+            (fun () ->
+              node.close ();
+              Engine.Wal.close w) }
   in
   let t =
     { map;
       split;
       mirror = V.of_instance inst;
-      backend;
-      wals;
+      shards = Array.init n shard;
       shard_of = Array.make (max 1 nu) (-1);
       local_of = Array.make (max 1 nu) (-1);
       counts = Array.make n 0;
@@ -106,14 +111,11 @@ let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?replicas
       t.local_of.(u) <- next_local.(s);
       next_local.(s) <- next_local.(s) + 1;
       t.counts.(s) <- t.counts.(s) + 1;
-      t.demand.(s) <- t.demand.(s) +. slot_demand (C.view (ctrl t s)) t.local_of.(u))
+      t.demand.(s) <- t.demand.(s) +. slot_demand (shard_view t s) t.local_of.(u))
     assign;
   t
 
-let num_shards t =
-  match t.backend with
-  | Plain cs -> Array.length cs
-  | Replicated gs -> Array.length gs
+let num_shards t = Array.length t.shards
 
 let map t = t.map
 
@@ -130,22 +132,7 @@ let ensure_global t g =
     t.local_of <- grow t.local_of
   end
 
-let wal_append ?flush t shard d =
-  match t.wals with
-  | None -> ()
-  | Some ws -> ignore (Engine.Wal.append_tee ?flush ws.(shard) d)
-
-(* Every controller apply in the routing paths is paired with a WAL
-   append of the same local delta; in replicated mode both happen
-   inside the group (primary apply, tee to its writer, ship to
-   followers). *)
-let shard_apply ?flush t i d =
-  match t.backend with
-  | Replicated gs -> Replica.Group.apply ?flush gs.(i) d
-  | Plain cs ->
-      let applied = C.apply cs.(i) d in
-      wal_append ?flush t i d;
-      applied
+let shard_apply ?flush t i d = t.shards.(i).Engine.Node.apply ?flush d
 
 let budget_shares t b =
   let n = num_shards t in
@@ -179,14 +166,14 @@ let apply_opt ?flush t (d : D.t) : V.applied =
       t.local_of.(g) <- l;
       t.counts.(shard) <- t.counts.(shard) + 1;
       t.demand.(shard) <-
-        t.demand.(shard) +. slot_demand (C.view (ctrl t shard)) l;
+        t.demand.(shard) +. slot_demand (shard_view t shard) l;
       applied
   | D.User_leave g ->
       if g < 0 || g >= Array.length t.shard_of || t.shard_of.(g) < 0 then
         invalid_arg "Router.apply: leave of an inactive slot";
       let shard = t.shard_of.(g) in
       let l = t.local_of.(g) in
-      let du = slot_demand (C.view (ctrl t shard)) l in
+      let du = slot_demand (shard_view t shard) l in
       let applied = V.apply t.mirror d in
       ignore (shard_apply ?flush t shard (D.User_leave l));
       t.shard_of.(g) <- -1;
@@ -210,13 +197,7 @@ let apply_opt ?flush t (d : D.t) : V.applied =
 
 let apply t d = apply_opt t d
 
-let flush_wals t =
-  (match t.wals with
-  | Some ws -> Array.iter Engine.Wal.flush_writer ws
-  | None -> ());
-  match t.backend with
-  | Replicated gs -> Array.iter Replica.Group.flush_wal gs
-  | Plain _ -> ()
+let flush t = Array.iter (fun (s : Engine.Node.t) -> s.flush ()) t.shards
 
 (* Routing is inherently sequential — the mirror's slot allocation,
    the least-loaded routing choice and the ownership tables all depend
@@ -226,7 +207,7 @@ let flush_wals t =
    one-at-a-time path. *)
 let apply_batch t ds =
   Fun.protect
-    ~finally:(fun () -> flush_wals t)
+    ~finally:(fun () -> flush t)
     (fun () -> List.iter (fun d -> ignore (apply_opt ~flush:false t d)) ds)
 
 let apply_all t ds = List.iter (fun d -> ignore (apply t d)) ds
@@ -244,50 +225,18 @@ let resplit_budgets t =
    degrade to sequential), keeping every shard's float summation order,
    and therefore every plan, bit-identical to the sequential path. *)
 let replan_all t =
-  let n = num_shards t in
   ignore
     (Prelude.Pool.parallel_map
-       (fun i ->
-         C.replan (ctrl t i);
-         i)
-       (Array.init n Fun.id))
+       (fun (s : Engine.Node.t) -> s.replan ())
+       t.shards)
 
 let shard_of_slot t g =
   if g < 0 || g >= Array.length t.shard_of then -1 else t.shard_of.(g)
 
 let counts t = Array.copy t.counts
 let demand t = Array.copy t.demand
-let controller t i = ctrl t i
+let controller t i = List.hd (t.shards.(i).controllers ())
 let mirror t = t.mirror
-
-(* ---------- Replication surface ---------- *)
-
-let replicated t =
-  match t.backend with Replicated _ -> true | Plain _ -> false
-
-let group t i =
-  match t.backend with Replicated gs -> Some gs.(i) | Plain _ -> None
-
-let kill_primary t i =
-  match t.backend with
-  | Replicated gs -> Replica.Group.kill_primary gs.(i)
-  | Plain _ -> ()
-
-let fail_over t i =
-  match t.backend with
-  | Replicated gs -> Replica.Group.fail_over gs.(i)
-  | Plain _ -> false
-
-let failovers t =
-  match t.backend with
-  | Replicated gs ->
-      Array.fold_left (fun acc g -> acc + Replica.Group.failovers g) 0 gs
-  | Plain _ -> 0
-
-let quiesce_replicas t =
-  match t.backend with
-  | Replicated gs -> Array.for_all (fun g -> Replica.Group.quiesce g) gs
-  | Plain _ -> true
 
 (* One rebalance move: evict the highest global slot on the donor and
    replay its spec into the receiver — two ordinary deltas through the
@@ -302,7 +251,7 @@ let move_one t ~from_shard ~to_shard =
   else begin
     let g = !g in
     let l = t.local_of.(g) in
-    let from_view = C.view (ctrl t from_shard) in
+    let from_view = shard_view t from_shard in
     let spec = V.user_spec from_view l in
     let du = slot_demand from_view l in
     ignore (shard_apply t from_shard (D.User_leave l));
@@ -314,7 +263,7 @@ let move_one t ~from_shard ~to_shard =
     t.counts.(to_shard) <- t.counts.(to_shard) + 1;
     t.demand.(from_shard) <- t.demand.(from_shard) -. du;
     t.demand.(to_shard) <-
-      t.demand.(to_shard) +. slot_demand (C.view (ctrl t to_shard)) l';
+      t.demand.(to_shard) +. slot_demand (shard_view t to_shard) l';
     true
   end
 
@@ -326,25 +275,29 @@ let rebalance t ~k =
     0 moves
 
 let utility t =
-  let acc = ref 0. in
-  for i = 0 to num_shards t - 1 do
-    acc := !acc +. C.utility (ctrl t i)
-  done;
-  !acc
+  Array.fold_left
+    (fun acc (s : Engine.Node.t) -> acc +. s.utility ())
+    0. t.shards
 
-(* Replicated shards report through their current primary only:
-   follower counters mirror the primary's delta stream, so summing
-   over them would multiply every count by the replication factor. *)
+let controllers t =
+  List.concat_map (fun (s : Engine.Node.t) -> s.controllers ())
+    (Array.to_list t.shards)
+
+(* Summed over the controllers serving the plan: a replicated shard
+   reports through its current primary only, since follower counters
+   mirror the primary's delta stream and summing over them would
+   multiply every count by the replication factor. *)
 let report t =
-  let n = num_shards t in
-  let rs = Array.init n (fun i -> C.report (ctrl t i)) in
-  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 rs in
+  let cs = controllers t in
+  let rs = List.map C.report cs in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rs in
   let replan_h = Obs.Hist.create () and recovery_h = Obs.Hist.create () in
-  for i = 0 to n - 1 do
-    let cnt = C.counters (ctrl t i) in
-    Obs.Hist.merge_into ~into:replan_h (Engine.Counters.replan_hist cnt);
-    Obs.Hist.merge_into ~into:recovery_h (Engine.Counters.recovery_hist cnt)
-  done;
+  List.iter
+    (fun c ->
+      let cnt = C.counters c in
+      Obs.Hist.merge_into ~into:replan_h (Engine.Counters.replan_hist cnt);
+      Obs.Hist.merge_into ~into:recovery_h (Engine.Counters.recovery_hist cnt))
+    cs;
   let open Engine.Counters in
   let evals = sum (fun r -> r.evals)
   and eager_equiv = sum (fun r -> r.eager_equiv) in
@@ -383,11 +336,12 @@ let certify ?iters t =
   let n = num_shards t in
   let mirror_p = Engine.Certify.problem_of_view t.mirror in
   let shard_certs =
-    Array.init n (fun i ->
-        let c = ctrl t i in
-        let p = Engine.Certify.problem_of_view (C.view c) in
-        let cert, stats = Cert.Sparse.emit ?iters ~target:(C.utility c) p in
+    Array.map
+      (fun (s : Engine.Node.t) ->
+        let p = Engine.Certify.problem_of_view (s.view ()) in
+        let cert, stats = Cert.Sparse.emit ?iters ~target:(s.utility ()) p in
         (p, cert, stats))
+      t.shards
   in
   let m = V.m t.mirror in
   let total = Array.fold_left ( + ) 0 t.counts in
@@ -420,7 +374,7 @@ let certify ?iters t =
      active slots (the order the shard's problem listed its users). *)
   let shard_rank =
     Array.init n (fun i ->
-        let slots = V.active_slots (C.view (ctrl t i)) in
+        let slots = V.active_slots (shard_view t i) in
         let tbl = Hashtbl.create 64 in
         List.iteri (fun r l -> Hashtbl.replace tbl l r) slots;
         tbl)
@@ -470,15 +424,14 @@ let certify ?iters t =
    eager re-evaluates every live candidate per admission. *)
 let global_scratch t = C.scratch ~mode:Engine.Planner.Lazy t.mirror
 
-let close t =
-  match t.wals with
-  | None -> ()
-  | Some ws -> Array.iter Engine.Wal.close ws
+let close t = Array.iter (fun (s : Engine.Node.t) -> s.close ()) t.shards
 
 let node t =
-  { Engine.Node.apply = apply t;
+  { Engine.Node.apply = (fun ?flush d -> apply_opt ?flush t d);
     apply_batch = apply_batch t;
+    flush = (fun () -> flush t);
     view = (fun () -> t.mirror);
+    controllers = (fun () -> controllers t);
     utility = (fun () -> utility t);
     replan = (fun () -> replan_all t);
     report = (fun () -> report t);

@@ -1,12 +1,18 @@
 (** The multi-head-end router: N independent engine shards behind one
     delta stream.
 
-    Each shard is a full existing stack — {!Engine.Controller} with
-    its view, planner, {!Engine.Counters} (labeled [shard="i"] in the
-    {!Obs.Metrics} registry) and optional {!Engine.Wal} — so per-shard
-    crash recovery and bit-exact determinism come for free: a shard's
-    WAL replays into a fresh controller exactly as the unsharded
-    engine's does.
+    A shard is any {!Engine.Node.t}, built per shard by the [build]
+    argument of {!create}: by default one {!Engine.Controller} (its
+    view, planner and {!Engine.Counters}, labeled [shard="i"] in the
+    {!Obs.Metrics} registry) behind {!Engine.Node.of_controller}, or a
+    replica group behind [Replica.Group.node]. The router routes deltas
+    to the node and reads its view, utility and controllers; it never
+    knows what executes a delta, so a primary failure inside a
+    replicated shard heals by promotion at the shard's next delta
+    without the router noticing. Each shard logs its own local delta
+    stream to an optional {!Engine.Wal}, so per-shard crash recovery
+    and bit-exact determinism come for free: a shard's WAL replays into
+    a fresh controller exactly as the unsharded engine's does.
 
     The router owns a {e mirror} view applying every delta unsharded.
     The mirror is never planned over; it exists to (a) allocate global
@@ -34,31 +40,35 @@ type budget_split =
           skew-aware split; falls back to [Even] while no demand has
           been observed. *)
 
+type builder =
+  labels:(string * string) list ->
+  ?wal:Engine.Wal.writer ->
+  Mmd.Instance.t ->
+  Engine.Node.t
+(** Builds one shard's node from its metric labels ([shard="i"]), its
+    optional WAL writer and its initial sub-instance. The node must
+    append each applied local delta to [wal] (the router opens and
+    closes the writer), as {!Engine.Node.of_controller} and
+    [Replica.Group.node] over a group created with that [wal] do. *)
+
 val create :
   ?policy:Engine.Controller.epoch_policy ->
   ?split:budget_split ->
   ?wal_dir:string ->
-  ?replicas:int ->
-  ?heartbeat_every:int ->
+  ?build:builder ->
   map:Shard_map.t ->
   Mmd.Instance.t ->
   t
-(** Build one controller per shard of [map] over [inst]'s catalog.
-    [inst]'s users (if any) become initial active slots, dealt by
-    {!Shard_map.plan} — global slot ids equal the unsharded engine's.
-    [split] defaults to [Even]. [wal_dir] turns on per-shard WALs at
-    [wal_dir/shard-<i>.wal], recording each shard's {e local} delta
-    stream (slot ids are shard-local, so each WAL replays standalone
-    into a controller built over that shard's initial sub-instance).
-
-    [replicas > 0] puts a {!Replica.Group} behind every shard: the
-    shard's controller becomes the group's primary, each applied local
-    delta is WAL-shipped to that shard's followers, and a primary
-    failure inside a shard heals by follower promotion without the
-    router noticing. [heartbeat_every] tunes the groups' heartbeat
-    cadence (ticks; the detection timeout scales to at least 3×). With
-    replicas, a [wal_dir] writer becomes the group's durable log (the
-    tee point), so the on-disk format is unchanged. *)
+(** Build one node per shard of [map] over [inst]'s catalog, calling
+    [build] once per shard in shard order. [build] defaults to
+    {!Engine.Node.of_controller} over a controller with epoch policy
+    [policy] (which only the default reads). [inst]'s users (if any)
+    become initial active slots, dealt by {!Shard_map.plan} — global
+    slot ids equal the unsharded engine's. [split] defaults to [Even].
+    [wal_dir] turns on per-shard WALs at [wal_dir/shard-<i>.wal],
+    recording each shard's {e local} delta stream (slot ids are
+    shard-local, so each WAL replays standalone into a controller built
+    over that shard's initial sub-instance). *)
 
 val num_shards : t -> int
 val map : t -> Shard_map.t
@@ -74,9 +84,9 @@ val apply_all : t -> Engine.Delta.t list -> unit
 
 val apply_batch : t -> Engine.Delta.t list -> unit
 (** {!apply} each delta in order — routing is inherently sequential —
-    with the per-shard WAL OS flushes amortized to one per shard per
-    batch. WAL bytes and replication frames are identical to
-    one-at-a-time applies. *)
+    with [~flush:false], then one [flush] of every shard: the per-shard
+    WAL OS flushes are amortized to one per shard per batch. WAL bytes
+    and replication frames are identical to one-at-a-time applies. *)
 
 val rebalance : t -> k:int -> int
 (** One epoch of {!Shard_map.rebalance}: at most [k] users move
@@ -107,40 +117,19 @@ val demand : t -> float array
     split weights). Fresh copy. *)
 
 val controller : t -> int -> Engine.Controller.t
-(** Shard [i]'s controller — in replicated mode, the current primary
-    of shard [i]'s replica group. *)
+(** The first controller serving shard [i]'s plan — its only one, or
+    the current primary of a replica group. *)
 
 val mirror : t -> Engine.View.t
-
-(** {1 Replication surface} (no-ops / empty in unreplicated mode) *)
-
-val replicated : t -> bool
-
-val group : t -> int -> Replica.Group.t option
-(** Shard [i]'s replica group, for chaos drivers and tests. *)
-
-val kill_primary : t -> int -> unit
-(** Kill shard [i]'s primary; detection + promotion run on the group's
-    subsequent ticks (or immediately via {!fail_over}). *)
-
-val fail_over : t -> int -> bool
-(** Promote on shard [i] now; false when unreplicated or no live
-    follower exists. *)
-
-val failovers : t -> int
-(** Total promotions across all shards. *)
-
-val quiesce_replicas : t -> bool
-(** Drive every shard's group to convergence (all live followers fully
-    caught up); true when all converged. *)
 
 val utility : t -> float
 (** Sum of the shards' plan utilities — the sharded system's achieved
     utility. *)
 
 val report : t -> Engine.Counters.report
-(** Cross-shard aggregation: integer telemetry summed, latency
-    histograms merged ({!Obs.Hist.merge_into}) before summarizing.
+(** Cross-shard aggregation over the controllers serving the plan (a
+    replica group counts once, through its primary): integer telemetry
+    summed, latency histograms merged ({!Obs.Hist.merge_into}) before summarizing.
     [certificates]/[certified_ratio] are the router's own {!certify}
     runs, not shard counters. *)
 
@@ -164,10 +153,11 @@ val global_scratch : t -> float * int
     [loss = 1 - utility t / fst (global_scratch t)]. *)
 
 val close : t -> unit
-(** Flush and close the per-shard WAL writers, if any. *)
+(** Close every shard's node, then its WAL writer, if any. *)
 
 val node : t -> Engine.Node.t
 (** The router as an {!Engine.Node.t}: deltas route as in {!apply},
     [view] is the unsharded {!mirror} (so join specs drawn against it
-    do not depend on the shard count), [utility] and [report] are the
-    fleet's, [replan] is {!replan_all} and [close] is {!close}. *)
+    do not depend on the shard count), [controllers], [utility] and
+    [report] are the fleet's, [flush] flushes every shard, [replan] is
+    {!replan_all} and [close] is {!close}. *)

@@ -207,7 +207,7 @@ let run ~rng ?(duration = 1000.) ?(join_rate = 0.2) ?(mean_dwell = 400.)
     ?(faults = ([] : Engine.Fault.schedule)) ?supervisor ?(batch = 1) inst =
   let ctrl = C.create ~policy:epoch inst in
   churn_loop ~rng ~duration ~join_rate ~mean_dwell ~churn ~faults ~batch
-    { node = C.node ctrl;
+    { node = Engine.Node.of_controller ctrl;
       fire = fire_on_controller ?supervisor ctrl;
       start = ignore;
       finish = ignore }

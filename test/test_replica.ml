@@ -530,40 +530,28 @@ let test_shocks_replicate_through_absorb () =
 
 (* ---------- Router composition ---------- *)
 
-let test_sharded_replication () =
-  let inst, log = world 36 in
-  let map =
-    Shard.Shard_map.create
-      ~tags:(Array.init env_shards (fun i -> Printf.sprintf "rack%d" (i mod 2)))
-      ()
+let rack_map () =
+  Shard.Shard_map.create
+    ~tags:(Array.init env_shards (fun i -> Printf.sprintf "rack%d" (i mod 2)))
+    ()
+
+(* A router whose shards are replica groups, and the groups' handles
+   in shard order: the router itself knows nothing of replication. *)
+let replicated_router inst =
+  let groups = ref [] in
+  let build ~labels ?wal inst =
+    let g = G.create ~policy:(C.Every 16) ~labels ?wal ~replicas:2 inst in
+    groups := g :: !groups;
+    G.node g
   in
-  let router =
-    Shard.Router.create ~policy:(C.Every 16) ~map ~replicas:2 inst
-  in
-  check_bool "router is replicated" true (Shard.Router.replicated router);
-  List.iteri
-    (fun i d ->
-      ignore (Shard.Router.apply router d);
-      (* Kill shard 0's primary mid-run; the router must not notice. *)
-      if i = 40 then begin
-        Shard.Router.kill_primary router 0;
-        check_bool "shard 0 fail over" true (Shard.Router.fail_over router 0)
-      end)
-    log;
-  check_bool "replicas converge" true (Shard.Router.quiesce_replicas router);
-  check_int "one failover total" 1 (Shard.Router.failovers router);
-  (* The replicated sharded run matches the unreplicated sharded run
-     delta for delta. *)
-  let plain =
-    Shard.Router.create ~policy:(C.Every 16)
-      ~map:
-        (Shard.Shard_map.create
-           ~tags:
-             (Array.init env_shards (fun i -> Printf.sprintf "rack%d" (i mod 2)))
-           ())
-      inst
-  in
-  List.iter (fun d -> ignore (Shard.Router.apply plain d)) log;
+  let router = Shard.Router.create ~build ~map:(rack_map ()) inst in
+  (router, Array.of_list (List.rev !groups))
+
+(* The replicated sharded run matches the unreplicated sharded run
+   over the same deltas, shard for shard. *)
+let check_matches_plain inst deltas router =
+  let plain = Shard.Router.create ~policy:(C.Every 16) ~map:(rack_map ()) inst in
+  List.iter (fun d -> ignore (Shard.Router.apply plain d)) deltas;
   check_float "utility matches plain sharded run"
     (Shard.Router.utility plain)
     (Shard.Router.utility router);
@@ -575,6 +563,46 @@ let test_sharded_replication () =
          (Shard.Router.controller router i)
          (Shard.Router.controller plain i))
   done
+
+let test_sharded_replication () =
+  let inst, log = world 36 in
+  let router, groups = replicated_router inst in
+  List.iteri
+    (fun i d ->
+      ignore (Shard.Router.apply router d);
+      if i = 40 then begin
+        G.kill_primary groups.(0);
+        check_bool "shard 0 fail over" true (G.fail_over groups.(0))
+      end)
+    log;
+  check_bool "replicas converge" true
+    (Array.for_all (fun g -> G.quiesce g) groups);
+  check_int "one failover total" 1
+    (Array.fold_left (fun n g -> n + G.failovers g) 0 groups);
+  check_matches_plain inst log router
+
+(* A primary killed inside a shard heals by promotion at the shard's
+   next delta, with no fail-over call: a cost change broadcasts, so it
+   reaches shard 0 right after the kill. *)
+let test_sharded_kill_heals () =
+  let inst, log = world 36 in
+  let router, groups = replicated_router inst in
+  let costs =
+    Array.init (Mmd.Instance.m inst) (fun i ->
+        0.5 *. Mmd.Instance.server_cost inst 0 i)
+  in
+  let deltas =
+    List.filteri (fun i _ -> i <= 40) log
+    @ (D.Stream_cost_change { stream = 0; costs }
+      :: List.filteri (fun i _ -> i > 40) log)
+  in
+  List.iteri
+    (fun i d ->
+      if i = 41 then G.kill_primary groups.(0);
+      ignore (Shard.Router.apply router d))
+    deltas;
+  check_int "shard 0 promoted" 1 (G.failovers groups.(0));
+  check_matches_plain inst deltas router
 
 (* ---------- Simnet replicated run ---------- *)
 
@@ -755,6 +783,8 @@ let suite =
     Alcotest.test_case "shocks replicate through absorb" `Quick
       test_shocks_replicate_through_absorb;
     Alcotest.test_case "sharded replication" `Quick test_sharded_replication;
+    Alcotest.test_case "sharded primary kill heals" `Quick
+      test_sharded_kill_heals;
     Alcotest.test_case "simnet replicated run" `Quick
       test_simnet_run_replicated;
     Alcotest.test_case "lag visible in prometheus" `Quick
