@@ -5,11 +5,11 @@
     argument of {!create}: by default one {!Engine.Controller} (its
     view, planner and {!Engine.Counters}, labeled [shard="i"] in the
     {!Obs.Metrics} registry) behind {!Engine.Node.of_controller}, or a
-    replica group behind [Replica.Group.node]. The router routes deltas
-    to the node and reads its view, utility and controllers; it never
-    knows what executes a delta, so a primary failure inside a
-    replicated shard heals by promotion at the shard's next delta
-    without the router noticing. Each shard logs its own local delta
+    replica group's node. The router routes deltas to the node and
+    reads its view, utility and controllers; it never knows what
+    executes a delta, so a primary failure inside a replicated shard
+    heals by promotion at the shard's next delta without the router
+    noticing. Each shard logs its own local delta
     stream to an optional {!Engine.Wal}, so per-shard crash recovery
     and bit-exact determinism come for free: a shard's WAL replays into
     a fresh controller exactly as the unsharded engine's does.
@@ -48,8 +48,8 @@ type builder =
 (** Builds one shard's node from its metric labels ([shard="i"]), its
     optional WAL writer and its initial sub-instance. The node must
     append each applied local delta to [wal] (the router opens and
-    closes the writer), as {!Engine.Node.of_controller} and
-    [Replica.Group.node] over a group created with that [wal] do. *)
+    closes the writer), as {!Engine.Node.of_controller} does, and as a
+    replica group's node does when the group was created with [wal]. *)
 
 val create :
   ?policy:Engine.Controller.epoch_policy ->
