@@ -35,7 +35,7 @@ let of_controller ?wal ctrl =
   let flush () = Option.iter Wal.flush_writer wal in
   let apply ?flush d =
     let applied = Controller.apply ctrl d in
-    Option.iter (fun w -> ignore (Wal.append_tee ?flush w d)) wal;
+    (match wal with Some w -> ignore (Wal.append_tee ?flush w d) | None -> ());
     applied
   in
   { apply;
