@@ -204,6 +204,67 @@ let test_loopback_unix_domain () =
         (T.drain l = [ "over"; "unix" ]));
   check_bool "socket path unlinked on close" true (not (Sys.file_exists path))
 
+let unix_sock_path tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "mmd-%s-%d.sock" tag (Unix.getpid ()))
+
+let with_link l f = Fun.protect ~finally:(fun () -> l.T.close ()) (fun () -> f l)
+
+(* About 4 MiB of 1 KiB frames, far past what the kernel buffers for
+   one connection, sent with no recv in between: the next drain still
+   yields every frame, intact and in order. *)
+let burst_drains_in_order l =
+  let n = 4096 in
+  let frame i = Printf.sprintf "%06d" i ^ String.make 1018 (Char.chr (i land 0xff)) in
+  for i = 0 to n - 1 do
+    l.T.send (frame i)
+  done;
+  check_int "whole burst pending" n (l.T.pending ());
+  let got = Array.of_list (T.drain l) in
+  check_int "burst drains complete" n (Array.length got);
+  let bad = ref 0 in
+  Array.iteri (fun i f -> if f <> frame i then incr bad) got;
+  check_int "burst drains intact and in order" 0 !bad;
+  check_int "nothing left pending" 0 (l.T.pending ())
+
+let test_loopback_burst_tcp () = with_link (TS.loopback ()) burst_drains_in_order
+
+let test_loopback_burst_unix () =
+  let path = unix_sock_path "burst" in
+  with_link (TS.loopback ~endpoint:(TS.Unix_sock path) ()) burst_drains_in_order
+
+let queued = List.init 64 (fun i -> Printf.sprintf "queued-%02d-%s" i (String.make 500 'q'))
+
+(* Frames sent since the last drain, then a torn frame: each earlier
+   frame reaches the reader whole before the connection tears, and
+   only the torn frame is lost. *)
+let test_loopback_truncate_after_queue () =
+  with_link (TS.loopback ()) (fun l ->
+      List.iter l.T.send queued;
+      l.T.arm T.Truncate;
+      l.T.send "torn-frame-payload";
+      l.T.send "after";
+      check_bool "queued frames intact, torn frame lost" true
+        (T.drain l = queued @ [ "after" ]);
+      check_int "one truncation" 1 (l.T.stats ()).T.truncations)
+
+(* A reset loses every frame sent since the last drain; frames drained
+   before it are not touched, and the next frame arrives. *)
+let test_loopback_reset_after_queue () =
+  with_link (TS.loopback ()) (fun l ->
+      l.T.send "drained";
+      check_bool "drained before the reset" true (T.drain l = [ "drained" ]);
+      List.iter l.T.send queued;
+      l.T.arm T.Reset;
+      l.T.send "gone";
+      check_bool "reset loses every frame since the last drain" true
+        (T.drain l = []);
+      check_int "nothing pending after the reset" 0 (l.T.pending ());
+      l.T.send "next";
+      check_bool "next frame arrives" true (T.drain l = [ "next" ]);
+      check_int "one reset" 1 (l.T.stats ()).T.resets)
+
 (* ---------- The functorized protocol matrix, socket backend ---------- *)
 
 (* The identical suite the queue backend passes in Test_replica, now
@@ -317,6 +378,14 @@ let suite =
       test_loopback_truncate_and_reset;
     Alcotest.test_case "loopback over unix domain" `Quick
       test_loopback_unix_domain;
+    Alcotest.test_case "loopback burst past socket buffers (tcp)" `Quick
+      test_loopback_burst_tcp;
+    Alcotest.test_case "loopback burst past socket buffers (unix)" `Quick
+      test_loopback_burst_unix;
+    Alcotest.test_case "loopback truncate after queued frames" `Quick
+      test_loopback_truncate_after_queue;
+    Alcotest.test_case "loopback reset after queued frames" `Quick
+      test_loopback_reset_after_queue;
     Alcotest.test_case "multi-process: clean convergence" `Quick
       test_proc_clean_convergence;
     Alcotest.test_case "multi-process: SIGKILL primary" `Quick
