@@ -161,7 +161,11 @@ type conn = {
       (** read scratch, one per link: a fresh 64 KiB buffer per read
           would go straight to the major heap *)
   ready : string Queue.t;  (** decoded frames awaiting [recv] *)
-  outbox : Buffer.t;  (** encoded bytes the kernel would not take yet *)
+  mutable out : Bytes.t;
+      (** the outbox: encoded frames sent but not yet written, in
+          [out.[out_start .. out_end - 1]] *)
+  mutable out_start : int;
+  mutable out_end : int;
   gate : Transport.Gate.t;
   mutable wfd : Unix.file_descr;  (** dialed end: we write here *)
   mutable rfd : Unix.file_descr;  (** accepted end: we read here *)
@@ -181,32 +185,43 @@ let establish c =
       close_quiet wfd;
       failwith "Transport_socket.loopback: accept timed out"
 
-(* Nonblocking write of as much as the kernel will take. Blocking here
-   would deadlock the loopback: the only reader is this process. *)
-let write_nb c s pos len =
-  match Unix.write_substring c.wfd s pos len with
-  | n -> n
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> 0
+let outbox_length c = c.out_end - c.out_start
 
+let outbox_clear c =
+  c.out_start <- 0;
+  c.out_end <- 0
+
+(* Append behind the unsent bytes. Out of room, slide them to the
+   front when they fill at most half the buffer, else double it: each
+   byte is copied a constant number of times however long the backlog
+   grows. *)
+let outbox_add c s =
+  let len = String.length s in
+  if c.out_end + len > Bytes.length c.out then begin
+    let live = outbox_length c in
+    let cap = Bytes.length c.out in
+    let dst =
+      if 2 * (live + len) <= cap then c.out
+      else Bytes.create (max (2 * cap) (live + len))
+    in
+    Bytes.blit c.out c.out_start dst 0 live;
+    c.out <- dst;
+    c.out_start <- 0;
+    c.out_end <- live
+  end;
+  Bytes.blit_string s 0 c.out c.out_end len;
+  c.out_end <- c.out_end + len
+
+(* One nonblocking write of as much of the outbox as the kernel takes.
+   Blocking here would deadlock the loopback: the only reader is this
+   process. *)
 let pump_out c =
-  if Buffer.length c.outbox > 0 then begin
-    let s = Buffer.contents c.outbox in
-    let n = write_nb c s 0 (String.length s) in
-    if n > 0 then begin
-      Buffer.clear c.outbox;
-      if n < String.length s then
-        Buffer.add_substring c.outbox s n (String.length s - n)
-    end
-  end
-
-let deliver_enc c enc =
-  pump_out c;
-  if Buffer.length c.outbox > 0 then Buffer.add_string c.outbox enc
-  else begin
-    let n = write_nb c enc 0 (String.length enc) in
-    if n < String.length enc then
-      Buffer.add_substring c.outbox enc n (String.length enc - n)
-  end
+  let len = outbox_length c in
+  if len > 0 then
+    match Unix.single_write c.wfd c.out c.out_start len with
+    | n when n = len -> outbox_clear c
+    | n -> c.out_start <- c.out_start + n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
 
 (* Decode whatever the buffer holds; false means the stream lost
    framing and the connection must be torn down. *)
@@ -240,23 +255,10 @@ let read_avail c ~timeout =
    is what unblocks the write buffer. *)
 let flush_outbox c =
   let guard = ref 0 in
-  while Buffer.length c.outbox > 0 && !guard < 10_000 do
+  while outbox_length c > 0 && !guard < 10_000 do
     incr guard;
     pump_out c;
-    if Buffer.length c.outbox > 0 then begin
-      ignore (read_avail c ~timeout:0.01);
-      ignore (pump_frames c)
-    end
-  done
-
-let write_fully c s pos len =
-  let pos = ref pos and len = ref len and guard = ref 0 in
-  while !len > 0 && !guard < 10_000 do
-    incr guard;
-    let n = write_nb c s !pos !len in
-    pos := !pos + n;
-    len := !len - n;
-    if n = 0 then begin
+    if outbox_length c > 0 then begin
       ignore (read_avail c ~timeout:0.01);
       ignore (pump_frames c)
     end
@@ -268,11 +270,11 @@ let teardown c =
   Frame_codec.Decoder.reset c.dec;
   c.in_flight <- 0
 
-(* Abortive reset: the triggering frame and everything in the kernel's
-   buffers is lost; frames already decoded (and gate-held ones) are
-   not. *)
+(* Abortive reset: the triggering frame and every frame sent since the
+   last drain (still in the outbox or the kernel's buffers) is lost;
+   frames already decoded (and gate-held ones) are not. *)
 let abortive_reset c =
-  Buffer.clear c.outbox;
+  outbox_clear c;
   teardown c;
   establish c;
   note_reconnect ()
@@ -293,19 +295,22 @@ let drain_to_eof c =
    (codec's reset-on-disconnect), and a fresh connection carries on —
    the protocol heals the gap by retransmit. *)
 let truncate_wire c frame =
-  flush_outbox c;
   let enc = Frame_codec.encode frame in
-  write_fully c enc 0 (String.length enc / 2);
+  outbox_add c (String.sub enc 0 (String.length enc / 2));
+  flush_outbox c;
   (try Unix.shutdown c.wfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
   drain_to_eof c;
   teardown c;
   establish c;
   note_reconnect ()
 
+(* A send makes no syscall: the frame waits in the outbox for the next
+   [recv], which writes everything queued since the last drain at
+   once. *)
 let io c : Transport.Gate.io =
   { deliver =
       (fun frame ->
-        deliver_enc c (Frame_codec.encode frame);
+        outbox_add c (Frame_codec.encode frame);
         c.in_flight <- c.in_flight + 1);
     truncate = (fun frame -> truncate_wire c frame);
     reset = (fun () -> abortive_reset c) }
@@ -317,7 +322,7 @@ let send c frame =
 let rec recv c =
   if c.closed then None
   else if not (Queue.is_empty c.ready) then Some (Queue.pop c.ready)
-  else if c.in_flight > 0 || Buffer.length c.outbox > 0 then begin
+  else if c.in_flight > 0 || outbox_length c > 0 then begin
     (* Frames are provably in flight: pump the wire until one decodes
        or a generous deadline passes (loopback I/O is local, so this
        only trips if something is genuinely broken). *)
@@ -358,7 +363,7 @@ let pending c =
 
 let clear c =
   Transport.Gate.clear c.gate;
-  Buffer.clear c.outbox;
+  outbox_clear c;
   Queue.clear c.ready;
   if not c.closed then begin
     teardown c;
@@ -385,7 +390,9 @@ let loopback ?(endpoint = Tcp ("127.0.0.1", 0)) () =
       dec = Frame_codec.Decoder.create ();
       rbuf = Bytes.create 65536;
       ready = Queue.create ();
-      outbox = Buffer.create 256;
+      out = Bytes.create 4096;
+      out_start = 0;
+      out_end = 0;
       gate = Transport.Gate.create ();
       wfd = lfd;
       rfd = lfd;

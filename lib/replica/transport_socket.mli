@@ -19,7 +19,7 @@
       through the shared {!Transport.Gate}, so the chaos harness arms
       the same faults on a socket link as on a queue link; [Truncate]
       writes half the {e encoded} frame and tears the connection, and
-      [Reset] drops both fds abortively and reconnects — both heal
+      [Reset] drops the outbox and both fds abortively and reconnects — both heal
       through the codec's torn-frame invalidation plus protocol-level
       retransmit. *)
 
@@ -78,10 +78,15 @@ val close_quiet : Unix.file_descr -> unit
 
 val loopback : ?endpoint:endpoint -> unit -> Transport.link
 (** A {!Transport.link} over a private socket pair (default: TCP on
-    127.0.0.1 with an ephemeral port). Deterministic for the protocol
-    layer: [recv] blocks only while frames are provably in flight, so
-    a drain returns exactly the frames sent. [close] releases the
-    three fds (and unlinks a Unix-domain path). *)
+    127.0.0.1 with an ephemeral port). A send makes no syscall: it
+    encodes the frame and queues it in the link's outbox. The bytes
+    reach the socket at the next [recv], which writes the whole outbox
+    in one write (up to 64 KiB a write) before it reads — so a drain
+    costs one write, one select and one read however many frames were
+    sent since the last one. Deterministic for the protocol layer:
+    [recv] blocks only while frames are provably in flight, so a drain
+    returns exactly the frames sent. [close] releases the three fds
+    (and unlinks a Unix-domain path). *)
 
 val reconnects_total : unit -> int
 (** Process-wide count of loopback reconnections (resets and torn

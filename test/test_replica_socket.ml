@@ -188,12 +188,13 @@ let test_loopback_truncate_and_reset () =
       check_int "truncations" 1 s.T.truncations;
       check_int "resets" 1 s.T.resets)
 
+let unix_sock_path tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "mmd-%s-%d.sock" tag (Unix.getpid ()))
+
 let test_loopback_unix_domain () =
-  let path =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mmd-loop-%d.sock" (Unix.getpid ()))
-  in
+  let path = unix_sock_path "loop" in
   let l = TS.loopback ~endpoint:(TS.Unix_sock path) () in
   Fun.protect
     ~finally:(fun () -> l.T.close ())
@@ -203,11 +204,6 @@ let test_loopback_unix_domain () =
       check_bool "unix-domain loopback delivers" true
         (T.drain l = [ "over"; "unix" ]));
   check_bool "socket path unlinked on close" true (not (Sys.file_exists path))
-
-let unix_sock_path tag =
-  Filename.concat
-    (Filename.get_temp_dir_name ())
-    (Printf.sprintf "mmd-%s-%d.sock" tag (Unix.getpid ()))
 
 let with_link l f = Fun.protect ~finally:(fun () -> l.T.close ()) (fun () -> f l)
 
