@@ -198,6 +198,50 @@ let qcheck_single_shard_demand_split =
         (Array.init (V.m (R.mirror router)) Fun.id)
       && C.utility ctrl = C.utility shard)
 
+(* ---------- Router: the global view equals the unsharded engine's ---------- *)
+
+(* Everything a global view holds that a reader can observe, in a form
+   structural equality compares bit for bit: each slot's activity and
+   join spec, the free-slot reuse order, and the budget and cost bits. *)
+let view_content v =
+  let bits a = Array.map Int64.bits_of_float a in
+  ( V.num_slots v,
+    List.init (V.num_slots v) (fun u ->
+        if V.is_active v u then Some (V.user_spec v u) else None),
+    V.free_list v,
+    bits (V.budgets v),
+    Array.init (V.num_streams v) (fun s -> bits (V.cost_row v s)) )
+
+let qcheck_global_view_matches_controller =
+  qtest ~count:40
+    "router: global slots, mirror and global solve equal the unsharded engine"
+    QCheck2.Gen.(
+      triple (int_range 1 10_000) (int_range 1 5) (oneofl [ R.Even; R.Demand ]))
+    (fun (seed, n, split) ->
+      let inst, log = world seed in
+      let ctrl = C.create inst in
+      let tags = Array.init n (fun i -> Printf.sprintf "rack%d" (i mod 2)) in
+      let map = SM.create ~seed ~tags () in
+      let router = R.create ~split ~map inst in
+      let same_applied =
+        List.for_all
+          (fun (i, d) ->
+            let a = R.apply router d in
+            let b = C.apply ctrl d in
+            (* Moves and resplits must leave the global view alone. *)
+            if i mod 16 = 15 then begin
+              ignore (R.rebalance router ~k:2);
+              if split = R.Demand then R.resplit_budgets router
+            end;
+            a = b)
+          (List.mapi (fun i d -> (i, d)) log)
+      in
+      let scratch_bits (u, _) = Int64.bits_of_float u in
+      same_applied
+      && view_content (R.mirror router) = view_content (C.view ctrl)
+      && scratch_bits (R.global_scratch router)
+         = scratch_bits (C.scratch ~mode:P.Lazy (C.view ctrl)))
+
 (* ---------- Router: multi-shard invariants ---------- *)
 
 let qcheck_multi_shard_invariants =
@@ -239,11 +283,13 @@ let qcheck_rebalance_moves_bounded =
       R.apply_all router log;
       let before_pop = V.active_count (R.mirror router) in
       let before_version = V.version (R.mirror router) in
+      let before = view_content (R.mirror router) in
       let moved = R.rebalance router ~k in
       let counts = R.counts router in
       moved <= k
       && Array.fold_left ( + ) 0 counts = before_pop
       && V.version (R.mirror router) = before_version
+      && view_content (R.mirror router) = before
       (* rebalancing until fixpoint balances the shards within one *)
       &&
       let rec drain fuel =
@@ -399,6 +445,7 @@ let suite =
     qcheck_rebalance;
     qcheck_single_shard_identity;
     qcheck_single_shard_demand_split;
+    qcheck_global_view_matches_controller;
     qcheck_multi_shard_invariants;
     qcheck_rebalance_moves_bounded;
     qcheck_sharded_recovery;
