@@ -415,9 +415,11 @@ let set_costs t s costs =
     invalid_arg "View.apply: cost change stream out of range";
   if Array.length costs <> t.m then
     invalid_arg "View.apply: cost arity <> m";
+  (* The whole row is checked before the first write: a refused change
+     leaves the view as it was. *)
+  Array.iter (check_nonneg "cost") costs;
   Array.iteri
     (fun i c ->
-      check_nonneg "cost" c;
       (* Standing assumption: every stream fits every budget alone. *)
       t.cost.(s).(i) <- Float.min c t.budget.(i))
     costs

@@ -242,6 +242,57 @@ let qcheck_global_view_matches_controller =
       && scratch_bits (R.global_scratch router)
          = scratch_bits (C.scratch ~mode:P.Lazy (C.view ctrl)))
 
+(* A delta the view refuses changes nothing anywhere: not the view, not
+   the controller's plan or its budget use, not a router shard, not the
+   router's global view. The cost row fails on its second entry, after
+   a first entry that is valid. *)
+let test_refused_deltas_change_nothing () =
+  let inst, log = world 5 in
+  let cost =
+    match D.of_string_result "cost 0 5 -1" with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let join =
+    D.User_join
+      { D.utility_cap = infinity;
+        capacity = [| 1. |];
+        interests =
+          [ (0, 1., [| 1. |]); (Mmd.Instance.num_streams inst, 1., [| 1. |]) ] }
+  in
+  let ctrl = C.create inst in
+  C.apply_all ctrl log;
+  let map = SM.create ~seed:5 ~tags:[| "a"; "b"; "a" |] () in
+  let router = R.create ~map inst in
+  R.apply_all router log;
+  let leave = D.User_leave (V.num_slots (C.view ctrl) + 3) in
+  let plan_state () =
+    let _, used, _ = P.float_state (C.planner ctrl) in
+    ( view_content (C.view ctrl),
+      Mmd.Io.assignment_to_string (C.plan ctrl),
+      Array.map Int64.bits_of_float used )
+  in
+  let router_state () =
+    ( view_content (R.mirror router),
+      R.counts router,
+      List.init (R.num_shards router) (fun i ->
+          view_content (C.view (R.controller router i))) )
+  in
+  List.iter
+    (fun (what, d) ->
+      let before_ctrl = plan_state () and before_router = router_state () in
+      (match C.apply ctrl d with
+      | _ -> Alcotest.failf "the controller took the refused %s" what
+      | exception Invalid_argument _ -> ());
+      (match R.apply router d with
+      | _ -> Alcotest.failf "the router took the refused %s" what
+      | exception Invalid_argument _ -> ());
+      check_bool (what ^ ": controller unchanged") true
+        (plan_state () = before_ctrl);
+      check_bool (what ^ ": router unchanged") true
+        (router_state () = before_router))
+    [ ("cost change", cost); ("join", join); ("leave", leave) ]
+
 (* ---------- Router: multi-shard invariants ---------- *)
 
 let qcheck_multi_shard_invariants =
@@ -446,6 +497,8 @@ let suite =
     qcheck_single_shard_identity;
     qcheck_single_shard_demand_split;
     qcheck_global_view_matches_controller;
+    Alcotest.test_case "router: a refused delta changes nothing" `Quick
+      test_refused_deltas_change_nothing;
     qcheck_multi_shard_invariants;
     qcheck_rebalance_moves_bounded;
     qcheck_sharded_recovery;
