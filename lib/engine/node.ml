@@ -18,7 +18,9 @@ type t = {
   flush : unit -> unit;  (** flush the node's log to the OS *)
   view : unit -> View.t;
       (** the world new join specs are drawn against: the controller's
-          view, the router's unsharded mirror, the primary's view *)
+          view, the primary's view, or the router's unsharded mirror,
+          which the router builds anew on each call in O(users +
+          interests) — read it once, not per delta *)
   controllers : unit -> Controller.t list;
       (** the controllers serving the plan: the controller itself, the
           group's current primary, every shard's in shard order *)

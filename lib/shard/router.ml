@@ -18,11 +18,16 @@ type builder =
 type t = {
   map : Shard_map.t;
   split : budget_split;
-  mirror : V.t;
+  skeleton : V.t;
+  (* The unsharded world without interests: every delta goes through
+     [V.apply] on it, a join with its interests dropped, so it holds
+     the global slots (allocated with the unsharded engine's exact
+     discipline), capacities, caps, costs and budgets, and its
+     incidence lists stay empty. [mirror] adds the interests back on
+     demand. *)
   shards : Engine.Node.t array;
-  (* Global slot id -> owner. The mirror allocates global ids with the
-     unsharded engine's exact slot discipline, so these arrays are
-     dense and grow with the mirror. *)
+  (* Global slot id -> owner. The skeleton allocates global ids, so
+     these arrays are dense and grow with it. *)
   mutable shard_of : int array;
   mutable local_of : int array;
   counts : int array;
@@ -60,9 +65,8 @@ let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?build ~map inst =
   let assign = Shard_map.plan map ~users:nu in
   (* Initial budget shares are even; [resplit_budgets] switches a
      Demand router to the skew-aware split once demand is visible. *)
-  let share =
-    Array.init (I.m inst) (fun i -> I.budget inst i /. float_of_int n)
-  in
+  let budget = Array.init (I.m inst) (I.budget inst) in
+  let share = Array.map (fun b -> b /. float_of_int n) budget in
   Option.iter
     (fun dir ->
       try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
@@ -90,10 +94,21 @@ let create ?(policy = C.Every 64) ?(split = Even) ?wal_dir ?build ~map inst =
               node.close ();
               Engine.Wal.close w) }
   in
+  (* The initial users join the skeleton in global id order, taking
+     slots 0 .. nu-1 as [V.of_instance] would give them. *)
+  let skeleton = V.of_instance (I.restrict inst ~users:[||] ~budget) in
+  for u = 0 to nu - 1 do
+    ignore
+      (V.apply skeleton
+         (D.User_join
+            { D.utility_cap = I.utility_cap inst u;
+              capacity = Array.init (I.mc inst) (I.capacity inst u);
+              interests = [] }))
+  done;
   let t =
     { map;
       split;
-      mirror = V.of_instance inst;
+      skeleton;
       shards = Array.init n shard;
       shard_of = Array.make (max 1 nu) (-1);
       local_of = Array.make (max 1 nu) (-1);
@@ -155,12 +170,16 @@ let budget_shares t b =
 
 let apply_opt ?flush t (d : D.t) : V.applied =
   match d with
-  | D.User_join _ ->
-      let applied = V.apply t.mirror d in
-      let g = match applied with V.Joined g -> g | _ -> assert false in
+  | D.User_join spec ->
+      (* The shard validates the full spec, so a refused join stops
+         there, before the skeleton has allocated a global slot. *)
       let shard = Shard_map.route t.map ~counts:t.counts in
       let la = shard_apply ?flush t shard d in
       let l = match la with V.Joined l -> l | _ -> assert false in
+      let applied =
+        V.apply t.skeleton (D.User_join { spec with interests = [] })
+      in
+      let g = match applied with V.Joined g -> g | _ -> assert false in
       ensure_global t g;
       t.shard_of.(g) <- shard;
       t.local_of.(g) <- l;
@@ -174,7 +193,7 @@ let apply_opt ?flush t (d : D.t) : V.applied =
       let shard = t.shard_of.(g) in
       let l = t.local_of.(g) in
       let du = slot_demand (shard_view t shard) l in
-      let applied = V.apply t.mirror d in
+      let applied = V.apply t.skeleton d in
       ignore (shard_apply ?flush t shard (D.User_leave l));
       t.shard_of.(g) <- -1;
       t.local_of.(g) <- -1;
@@ -182,13 +201,13 @@ let apply_opt ?flush t (d : D.t) : V.applied =
       t.demand.(shard) <- t.demand.(shard) -. du;
       applied
   | D.Stream_cost_change _ ->
-      let applied = V.apply t.mirror d in
+      let applied = V.apply t.skeleton d in
       for i = 0 to num_shards t - 1 do
         ignore (shard_apply ?flush t i d)
       done;
       applied
   | D.Budget_resize b ->
-      let applied = V.apply t.mirror d in
+      let applied = V.apply t.skeleton d in
       let shares = budget_shares t b in
       Array.iteri
         (fun i share -> ignore (shard_apply ?flush t i (D.Budget_resize share)))
@@ -199,7 +218,7 @@ let apply t d = apply_opt t d
 
 let flush t = Array.iter (fun (s : Engine.Node.t) -> s.flush ()) t.shards
 
-(* Routing is inherently sequential — the mirror's slot allocation,
+(* Routing is inherently sequential — the skeleton's slot allocation,
    the least-loaded routing choice and the ownership tables all depend
    on every earlier delta — so the batch routes records one at a time
    and amortizes the per-shard WAL OS flushes over the batch. Bytes on
@@ -213,8 +232,7 @@ let apply_batch t ds =
 let apply_all t ds = List.iter (fun d -> ignore (apply t d)) ds
 
 let resplit_budgets t =
-  let b = Array.init (V.m t.mirror) (V.budget t.mirror) in
-  let shares = budget_shares t b in
+  let shares = budget_shares t (V.budgets t.skeleton) in
   Array.iteri
     (fun i share -> ignore (shard_apply t i (D.Budget_resize share)))
     shares
@@ -236,11 +254,24 @@ let shard_of_slot t g =
 let counts t = Array.copy t.counts
 let demand t = Array.copy t.demand
 let controller t i = List.hd (t.shards.(i).controllers ())
-let mirror t = t.mirror
+
+(* The skeleton's copy with every active global slot refilled from its
+   owner's view: [restore_slot] is a join into that slot, and the shard
+   holds the user exactly as the join left it (its utilities already
+   zeroed where a load breaks a capacity), so the result equals the
+   view an unsharded engine fed the same deltas would hold. *)
+let mirror t =
+  let g = V.copy t.skeleton in
+  let views = Array.init (num_shards t) (shard_view t) in
+  for u = 0 to V.num_slots g - 1 do
+    if V.is_active g u then
+      V.restore_slot g u (V.user_spec views.(t.shard_of.(u)) t.local_of.(u))
+  done;
+  g
 
 (* One rebalance move: evict the highest global slot on the donor and
    replay its spec into the receiver — two ordinary deltas through the
-   shards' apply paths. The mirror and the global id are untouched;
+   shards' apply paths. The skeleton and the global id are untouched;
    only the ownership tables change. *)
 let move_one t ~from_shard ~to_shard =
   let g = ref (Array.length t.shard_of - 1) in
@@ -334,7 +365,8 @@ let report t =
    bound is bit-identical to it. *)
 let certify ?iters t =
   let n = num_shards t in
-  let mirror_p = Engine.Certify.problem_of_view t.mirror in
+  let mirror = mirror t in
+  let mirror_p = Engine.Certify.problem_of_view mirror in
   let shard_certs =
     Array.map
       (fun (s : Engine.Node.t) ->
@@ -343,7 +375,7 @@ let certify ?iters t =
         (p, cert, stats))
       t.shards
   in
-  let m = V.m t.mirror in
+  let m = V.m mirror in
   let total = Array.fold_left ( + ) 0 t.counts in
   let lambda =
     Array.init m (fun i ->
@@ -365,9 +397,9 @@ let certify ?iters t =
       (Array.map (fun (p, c, _) -> Cert.Checker.partial p c) shard_certs)
   in
   let bound =
-    Cert.Checker.compose ~m ~budget:(V.budget t.mirror)
-      ~num_streams:(V.num_streams t.mirror)
-      ~server_cost:(V.server_cost t.mirror) ~lambda partials
+    Cert.Checker.compose ~m ~budget:(V.budget mirror)
+      ~num_streams:(V.num_streams mirror)
+      ~server_cost:(V.server_cost mirror) ~lambda partials
   in
   (* Reassemble the per-user duals in the mirror's user order: global
      slot -> owning shard -> rank of its local slot among that shard's
@@ -379,7 +411,7 @@ let certify ?iters t =
         List.iteri (fun r l -> Hashtbl.replace tbl l r) slots;
         tbl)
   in
-  let mirror_slots = Array.of_list (V.active_slots t.mirror) in
+  let mirror_slots = Array.of_list (V.active_slots mirror) in
   let locate u =
     let g = mirror_slots.(u) in
     let s = t.shard_of.(g) in
@@ -422,7 +454,7 @@ let certify ?iters t =
 (* Lazy mode: identical plan to eager by construction (tie-break to
    the lower stream id), and the only affordable mode at 1M users —
    eager re-evaluates every live candidate per admission. *)
-let global_scratch t = C.scratch ~mode:Engine.Planner.Lazy t.mirror
+let global_scratch t = C.scratch ~mode:Engine.Planner.Lazy (mirror t)
 
 let close t = Array.iter (fun (s : Engine.Node.t) -> s.close ()) t.shards
 
@@ -430,7 +462,7 @@ let node t =
   { Engine.Node.apply = (fun ?flush d -> apply_opt ?flush t d);
     apply_batch = apply_batch t;
     flush = (fun () -> flush t);
-    view = (fun () -> t.mirror);
+    view = (fun () -> mirror t);
     controllers = (fun () -> controllers t);
     utility = (fun () -> utility t);
     replan = (fun () -> replan_all t);

@@ -14,15 +14,21 @@
     and bit-exact determinism come for free: a shard's WAL replays into
     a fresh controller exactly as the unsharded engine's does.
 
-    The router owns a {e mirror} view applying every delta unsharded.
-    The mirror is never planned over; it exists to (a) allocate global
-    slot ids with exactly the unsharded engine's slot discipline, so
-    [leave <slot>] deltas recorded against an unsharded run route
-    correctly, and (b) provide the single-global-solve reference
-    ({!global_scratch}) that the cross-shard utility loss is measured
-    against.
+    The router owns a {e skeleton} view of the unsharded world: every
+    delta goes through [Engine.View.apply] on it, except that a join
+    enters without its interests. It holds the global slots, each
+    user's capacities and cap, the true costs and the true budgets,
+    and its per-stream incidence lists stay empty, so a delta costs
+    it O(m) rather than a shift of incidence arrays N times longer
+    than a shard's. It allocates global slot ids with exactly the
+    unsharded engine's slot discipline, so [leave <slot>] deltas
+    recorded against an unsharded run route correctly. The full
+    unsharded view ({!mirror}) is built from the skeleton and the
+    shards' views only when something asks for it: the
+    single-global-solve reference ({!global_scratch}) that the
+    cross-shard utility loss is measured against, and {!certify}.
 
-    Budgets: the mirror holds the true budgets [B_i]; each shard plans
+    Budgets: the skeleton holds the true budgets [B_i]; each shard plans
     under its split share. Per-shard sub-budgets may undercut a
     stream's cost; the shard's view then clamps that cost down, the
     same documented clamp the unsharded engine applies on a budget
@@ -76,9 +82,13 @@ val map : t -> Shard_map.t
 val apply : t -> Engine.Delta.t -> Engine.View.applied
 (** Route one delta: a join goes to the least-loaded shard (interleave
     tiebreak), a leave to the owning shard (slot ids are {e global} —
-    the mirror's), cost changes broadcast verbatim, budget resizes
+    the skeleton's), cost changes broadcast verbatim, budget resizes
     broadcast split per {!budget_split}. The returned [applied] speaks
-    global slot ids. *)
+    global slot ids. A delta the views refuse raises
+    [Invalid_argument] and changes nothing: a join is applied to its
+    shard, which checks the whole spec, before the skeleton gives it a
+    global slot; cost changes and budget resizes are checked by the
+    skeleton before any shard sees them. *)
 
 val apply_all : t -> Engine.Delta.t list -> unit
 
@@ -92,7 +102,8 @@ val rebalance : t -> k:int -> int
 (** One epoch of {!Shard_map.rebalance}: at most [k] users move
     between shards, each as an ordinary leave/join pair through the
     shards' delta paths (WAL-recorded like any churn). Global slot ids
-    and the mirror are unchanged — a move is invisible to the outside.
+    and the {!mirror} are unchanged — a move is invisible to the
+    outside.
     Victims are deterministic: the highest global slot on the donor
     shard. Returns the number of users moved. *)
 
@@ -121,6 +132,13 @@ val controller : t -> int -> Engine.Controller.t
     the current primary of a replica group. *)
 
 val mirror : t -> Engine.View.t
+(** The unsharded view: a fresh {!Engine.View.copy} of the skeleton
+    with every active global slot refilled by
+    {!Engine.View.restore_slot} from its owning shard's
+    {!Engine.View.user_spec}. It equals, slot by slot, the view an
+    unsharded engine fed the same deltas holds (free-slot order,
+    costs and budgets included). O(users + interests) per call, off
+    the ingest path; mutating the result does not touch the router. *)
 
 val utility : t -> float
 (** Sum of the shards' plan utilities — the sharded system's achieved
@@ -140,7 +158,8 @@ val certify :
     sub-world, the per-user duals compose ({!Cert.Checker.compose})
     under a count-weighted average of the shards' budget duals, and the
     composed certificate is re-verified by the independent checker
-    against the {e mirror} — the unsharded problem — so the reported
+    against the {!mirror}, built once per call — the unsharded
+    problem — so the reported
     bound is the checker's recomputation over the true global budgets
     and costs, never a sum of shard claims. With [--shards 1] the
     composition is the identity and the bound is bit-identical to
@@ -148,7 +167,8 @@ val certify :
     router's report/gauge ([engine_certified_opt_ratio]) are updated. *)
 
 val global_scratch : t -> float * int
-(** [(utility, evals)] of a single global solve over the mirror — the
+(** [(utility, evals)] of a single global solve over the {!mirror},
+    built once per call — the
     reference the cross-shard utility loss is measured against:
     [loss = 1 - utility t / fst (global_scratch t)]. *)
 
@@ -157,7 +177,8 @@ val close : t -> unit
 
 val node : t -> Engine.Node.t
 (** The router as an {!Engine.Node.t}: deltas route as in {!apply},
-    [view] is the unsharded {!mirror} (so join specs drawn against it
-    do not depend on the shard count), [controllers], [utility] and
+    [view] builds the unsharded {!mirror} on each call (so join specs
+    drawn against it do not depend on the shard count; a driver that
+    draws many should call it once), [controllers], [utility] and
     [report] are the fleet's, [flush] flushes every shard, [replan] is
     {!replan_all} and [close] is {!close}. *)
