@@ -5,7 +5,8 @@
       replica group over the in-process queue links and over real
       loopback sockets (length-prefixed CRC-framed wire format). Final
       state must be bit-identical across transports; the socket tax is
-      reported.
+      reported from each transport's best of several warm, alternating
+      runs.
 
    2. Network fault matrix: seeded eleven-kind schedules (drops, dups,
       reorders, holds, truncations, link partitions, resets, crashes,
@@ -109,6 +110,7 @@ let run () =
   let num_streams = if smoke then 30 else 80 in
   let num_users = if smoke then 18 else 50 in
   let parity_deltas = if smoke then 400 else 2000 in
+  let parity_repeats = if smoke then 3 else 7 in
   let matrix_runs = if smoke then 12 else 60 in
   let handover_runs = if smoke then 10 else 40 in
   let proc_kills = if smoke then 4 else 12 in
@@ -131,20 +133,33 @@ let run () =
     in
     (g, seconds)
   in
-  let gq, queue_s = run_with mk_queue in
-  let gs, socket_s = run_with mk_socket in
-  let parity = bit_identical (G.primary gq) (G.primary gs) in
+  (* One cold run per transport measures the host as much as the code,
+     so the row is each transport's best of [parity_repeats] warm runs,
+     queue and socket alternating, after one untimed pair. Every pair
+     must end bit-identical. *)
+  let run_pair () =
+    let gq, queue_s = run_with mk_queue in
+    let gs, socket_s = run_with mk_socket in
+    let parity = bit_identical (G.primary gq) (G.primary gs) in
+    G.close gq;
+    G.close gs;
+    (parity, queue_s, socket_s)
+  in
+  let warm_parity, _, _ = run_pair () in
+  let pairs = List.init parity_repeats (fun _ -> run_pair ()) in
+  let parity = warm_parity && List.for_all (fun (p, _, _) -> p) pairs in
+  let best f = List.fold_left (fun acc r -> Float.min acc (f r)) infinity pairs in
+  let queue_s = best (fun (_, q, _) -> q) in
+  let socket_s = best (fun (_, _, s) -> s) in
   let reconnects = TS.reconnects_total () in
   Printf.printf
-    "  parity: %d deltas — queue %.0f deltas/s, socket %.0f deltas/s \
-     (%.1fx tax), bit-identical: %s\n%!"
-    parity_deltas
+    "  parity: %d deltas, best of %d — queue %.0f deltas/s, socket %.0f \
+     deltas/s (%.1fx tax), bit-identical: %s\n%!"
+    parity_deltas parity_repeats
     (float parity_deltas /. queue_s)
     (float parity_deltas /. socket_s)
     (socket_s /. queue_s)
     (if parity then "yes" else "NO");
-  G.close gq;
-  G.close gs;
 
   (* ----- 2. network fault matrix over sockets ----- *)
   let policies = [ C.Every 8; C.Every 32; C.Drift 0.05; C.Manual ] in
@@ -285,7 +300,7 @@ let run () =
     \  \"host\": %s,\n\
     \  \"instance\": { \"num_streams\": %d, \"num_users\": %d, \"m\": 2, \
      \"mc\": 1 },\n\
-    \  \"parity\": { \"deltas\": %d, \"queue_seconds\": %.6f, \
+    \  \"parity\": { \"deltas\": %d, \"repeats\": %d, \"queue_seconds\": %.6f, \
      \"socket_seconds\": %.6f, \"socket_tax\": %.3f, \"bit_identical\": %b, \
      \"reconnects\": %d },\n\
     \  \"network_matrix\": { \"runs\": %d, \"faults\": %d, \"seconds\": \
@@ -298,7 +313,8 @@ let run () =
      %d, \"harness_failures\": %d, \"seconds\": %.3f, \"rows\": [\n%s\n  ] },\n\
     \  \"proc_divergent_survivors\": %d\n\
      }\n"
-    smoke (host_json ()) num_streams num_users parity_deltas queue_s socket_s
+    smoke (host_json ()) num_streams num_users parity_deltas parity_repeats
+    queue_s socket_s
     (socket_s /. queue_s) parity reconnects matrix_runs !matrix_faults
     matrix_seconds !matrix_divergence !handovers_done handover_seconds
     !handover_lost !handover_divergence proc_kills proc_deltas !proc_failures
