@@ -8,8 +8,14 @@
    freed slots are reused LIFO — so leave deltas always name valid
    global slots, and the log is a pure function of the seed: every
    shard count replays the identical workload and ends with the
-   identical global mirror state. The loss is reported honestly, no
+   identical global state. The loss is reported honestly, no
    acceptance gate: it is the price of partitioning the budget.
+
+   The router's own global state is an interest-free skeleton view
+   (slots, capacities, costs, budgets), so the timed ingest pays for
+   routing, an O(m) skeleton update and the shards' work. The full
+   unsharded view is built outside the timed loop, once for the
+   reference solve and once per certification ([Router.mirror]).
 
    VDMC_SMOKE=1 shrinks to 30k users / 500 streams / shards {1,4}
    for CI. Results land in BENCH_shard.json. *)
@@ -224,11 +230,12 @@ let run () =
     "{\n\
     \  \"experiment\": \"e18_sharded\",\n\
     \  \"smoke\": %b,\n\
+    \  \"host\": %s,\n\
     \  \"users\": %d,\n\
     \  \"streams\": %d,\n\
     \  \"global_utility\": %.6f,\n\
     \  \"runs\": [\n"
-    smoke joins num_streams !global_utility;
+    smoke (host_json ()) joins num_streams !global_utility;
   List.iteri
     (fun i (n, ops, utility, loss, certified_ratio, moves, report, wall) ->
       Printf.fprintf oc
