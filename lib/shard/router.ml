@@ -19,12 +19,9 @@ type t = {
   map : Shard_map.t;
   split : budget_split;
   skeleton : V.t;
-  (* The unsharded world without interests: every delta goes through
-     [V.apply] on it, a join with its interests dropped, so it holds
-     the global slots (allocated with the unsharded engine's exact
-     discipline), capacities, caps, costs and budgets, and its
-     incidence lists stay empty. [mirror] adds the interests back on
-     demand. *)
+  (* The unsharded world fed every delta, joins without their
+     interests: [V.apply] allocates the global slots and keeps costs
+     and budgets by its own rules, and no incidence list grows. *)
   shards : Engine.Node.t array;
   (* Global slot id -> owner. The skeleton allocates global ids, so
      these arrays are dense and grow with it. *)
@@ -255,11 +252,10 @@ let counts t = Array.copy t.counts
 let demand t = Array.copy t.demand
 let controller t i = List.hd (t.shards.(i).controllers ())
 
-(* The skeleton's copy with every active global slot refilled from its
-   owner's view: [restore_slot] is a join into that slot, and the shard
-   holds the user exactly as the join left it (its utilities already
-   zeroed where a load breaks a capacity), so the result equals the
-   view an unsharded engine fed the same deltas would hold. *)
+(* [restore_slot] is a join into that slot, and the shard holds the
+   user exactly as the join left it (utilities already zeroed where a
+   load breaks a capacity), so the refilled copy equals the view an
+   unsharded engine fed the same deltas would hold. *)
 let mirror t =
   let g = V.copy t.skeleton in
   let views = Array.init (num_shards t) (shard_view t) in
