@@ -375,6 +375,14 @@ let install_spec t u (spec : Delta.user_spec) =
   Array.iteri
     (fun i s ->
       let w, row = Hashtbl.find merged s in
+      (* A later duplicate's row can exceed the capacity where the
+         utility kept is an earlier entry's: test the merged row too,
+         as [Instance.create] tests its dense rows. So every incidence
+         entry's load row fits its slot's capacity under plain [<=],
+         which the planner's [best_single] relies on. *)
+      let w =
+        if Array.exists2 (fun k c -> k > c) row spec.capacity then 0. else w
+      in
       wutil.(i) <- w;
       Array.blit row 0 loads (i * t.mc) t.mc;
       if w > 0. then begin
