@@ -385,12 +385,15 @@ let best_single t =
   end
 
 (* Cost-effectiveness order without division: s (with marginal w, cost
-   c) beats s' when w·c' > w'·c; zero-cost streams have infinite
-   effectiveness. *)
+   c) beats s' when w·c' > w'·c. A zero-cost stream has infinite
+   effectiveness while its marginal is positive, and 0 once it is not,
+   like any stream without marginal. (Were it tied with every
+   positive-cost stream instead, the order would have cycles, and the
+   lazy heap could surface and re-evaluate around one forever.) *)
 let[@inline] better_than w c w' c' =
   if c = 0. && c' = 0. then w > w'
   else if c = 0. then w > 0.
-  else if c' = 0. then false
+  else if c' = 0. then w' <= 0. && w > 0.
   else w *. c' > w' *. c
 
 (* The greedy's pick order on (marginal, cost_norm, stream) entries:

@@ -261,6 +261,33 @@ let test_greedy_stops_at_spent_budget () =
   check_int "eager evaluates only the admitting rounds" (50 + 49 + 48)
     eager_evals
 
+(* A zero-cost stream whose marginal falls to 0 ranks below every
+   stream that still has one. Stream 0 (cost 0) fills user 0's
+   utility cap; stream 3 (cost 0) then has no marginal left, while
+   stream 4 (cost 1) still has one at user 1. Ranked as tied with the
+   positive-cost streams, stream 3 made the pick order cyclic (4
+   before 1 by effectiveness, 1 before 3 and 3 before 4 by id), and
+   the lazy greedy re-evaluated around the cycle forever. *)
+let test_zero_cost_without_marginal_ranks_last () =
+  let row l = Array.map (fun x -> [| x |]) l in
+  let inst =
+    Mmd.Instance.create
+      ~server_cost:(row [| 0.; 2.; 2.; 0.; 1.; 2. |])
+      ~budget:[| 2. |]
+      ~load:
+        [| row [| 4.; 1.; 1.; 2.; infinity; 0. |]; row (Array.make 6 0.) |]
+      ~capacity:[| [| infinity |]; [| 0. |] |]
+      ~utility:[| [| 1.; 1.; 1.; 2.; 1.; 0. |]; [| 0.; 0.; 0.; 0.; 1.; 0. |] |]
+      ~utility_cap:[| 1.; 1. |] ()
+  in
+  let v = V.of_instance inst in
+  List.iter
+    (fun mode ->
+      let p = C.scratch_planner ~mode v in
+      Alcotest.(check (list int)) "admitted" [ 0; 4 ] (P.admitted p);
+      check_float "utility" 2. (P.utility p))
+    [ P.Lazy; P.Eager ]
+
 (* ---------- Controller invariants under churn ---------- *)
 
 (* The planner's kernel skips the per-slot membership test for a
@@ -478,6 +505,8 @@ let suite =
       test_lazy_saves_on_big_instances;
     Alcotest.test_case "greedy stops at a spent budget" `Quick
       test_greedy_stops_at_spent_budget;
+    Alcotest.test_case "zero-cost stream without marginal ranks last" `Quick
+      test_zero_cost_without_marginal_ranks_last;
     Alcotest.test_case "controller consistency under churn" `Quick
       test_controller_stays_consistent;
     Alcotest.test_case "replan matches scratch solve" `Quick
