@@ -411,6 +411,262 @@ let qcheck_leq_agrees =
     QCheck2.Gen.(oneof [ pair any any; near ])
     leq_agrees_prop
 
+(* ---------- What the planner's kernel relies on ---------- *)
+
+let rec shift_ulps x k =
+  if k = 0 then x
+  else if k > 0 then shift_ulps (Float.succ x) (k - 1)
+  else shift_ulps (Float.pred x) (k + 1)
+
+(* An entry that has failed a capacity test stays failed while the
+   used capacity only grows: [leq a' b] implies [leq a b] for
+   [0 <= a <= a'], at a few ulps from [b], across the tolerance's
+   [max 1.] switch, at binade edges, over large gaps and at infinity. *)
+let leq_monotone_prop (a, a', b) =
+  (not (0. <= a && a <= a')) || (not (P.leq a' b)) || P.leq a b
+
+let qcheck_leq_monotone =
+  let open QCheck2.Gen in
+  let edge =
+    oneofl
+      [ 0.; min_float; 1e-9; 0.5; Float.pred 1.; 1.; Float.succ 1.; 2.; 3.;
+        1e6; max_float; infinity ]
+  in
+  let binade = map (fun e -> ldexp 1. e) (int_range (-70) 70) in
+  let b = oneof [ edge; binade; float_range 0. 10.; float_range 0. 1e12 ] in
+  let near b =
+    oneof
+      [ map (shift_ulps b) (int_range (-8) 8);
+        map
+          (fun k -> b +. (k *. 1e-9 *. Float.max 1. b))
+          (float_range (-2.) 2.);
+        map (fun r -> r *. b) (float_range 0. 2.);
+        pure infinity ]
+  in
+  let below a' =
+    oneof
+      [ map (fun k -> shift_ulps a' (-k)) (int_range 0 8);
+        map (fun r -> r *. a') (float_range 0. 1.);
+        pure 0. ]
+  in
+  let triple_gen =
+    b >>= fun b ->
+    near b >>= fun a' ->
+    below a' >>= fun a -> pure (a, a', b)
+  in
+  qtest ~count:5000 "planner leq is monotone in its first argument"
+    triple_gen leq_monotone_prop
+
+let pick rng a = a.(Prelude.Rng.int rng (Array.length a))
+let caps_palette = [| 0.; 1.; 2.; 3.; infinity |]
+let loads_palette = [| 0.; 0.5; 1.; 2.; 4.; infinity |]
+let utils_palette = [| 0.; 0.; 0.5; 1.; 1.; 2. |]
+
+(* A join spec over few streams, so that duplicate streams are common,
+   with loads that often exceed the capacity. *)
+let random_spec rng ~ns ~mc =
+  { D.utility_cap = pick rng caps_palette;
+    capacity = Array.init mc (fun _ -> pick rng caps_palette);
+    interests =
+      List.init (if ns = 0 then 0 else Prelude.Rng.int rng 5) (fun _ ->
+          ( Prelude.Rng.int rng ns,
+            pick rng utils_palette,
+            Array.init mc (fun _ -> pick rng loads_palette) )) }
+
+(* A small random view: an instance (restricted or not) with tied
+   utilities, caps of 0 and infinity and over-capacity loads, then
+   joins, leaves and checkpoint-style slot restores. Every stream's
+   cost is at most its budget: [Instance.create] refuses more, and the
+   view clamps every later cost to the budget. *)
+let random_view seed =
+  let rng = Prelude.Rng.create seed in
+  let ns = Prelude.Rng.int rng 7 and m = 1 + Prelude.Rng.int rng 2 in
+  let mc = Prelude.Rng.int rng 3 and nu = Prelude.Rng.int rng 6 in
+  let budget = Array.init m (fun _ -> pick rng [| 0.; 2.; 3.; infinity |]) in
+  let inst =
+    Mmd.Instance.create ~mc
+      ~server_cost:
+        (Array.init ns (fun _ ->
+             Array.init m (fun i ->
+                 Float.min budget.(i) (pick rng [| 0.; 1.; 2.; 3. |]))))
+      ~budget
+      ~load:
+        (Array.init nu (fun _ ->
+             Array.init ns (fun _ ->
+                 Array.init mc (fun _ -> pick rng loads_palette))))
+      ~capacity:
+        (Array.init nu (fun _ -> Array.init mc (fun _ -> pick rng caps_palette)))
+      ~utility:
+        (Array.init nu (fun _ -> Array.init ns (fun _ -> pick rng utils_palette)))
+      ~utility_cap:(Array.init nu (fun _ -> pick rng caps_palette))
+      ()
+  in
+  let inst =
+    if Prelude.Rng.bool rng then inst
+    else
+      Mmd.Instance.restrict inst
+        ~users:
+          (Array.of_list
+             (List.filter (fun _ -> Prelude.Rng.bool rng) (List.init nu Fun.id)))
+        ~budget:(Array.map (fun b -> pick rng [| b; 1.; infinity |]) budget)
+  in
+  let v = V.of_instance inst in
+  let random_active () =
+    match V.active_slots v with
+    | [] -> None
+    | a -> Some (List.nth a (Prelude.Rng.int rng (List.length a)))
+  in
+  for _ = 1 to Prelude.Rng.int rng 12 do
+    match Prelude.Rng.int rng 4 with
+    | 0 | 1 -> ignore (V.apply v (D.User_join (random_spec rng ~ns ~mc)))
+    | 2 -> Option.iter (fun u -> ignore (V.apply v (D.User_leave u))) (random_active ())
+    | _ ->
+        Option.iter
+          (fun u -> V.restore_slot v u (random_spec rng ~ns ~mc))
+          (random_active ())
+  done;
+  (rng, v)
+
+(* Every incidence entry's load row fits its slot's capacity under
+   plain [<=]: an interest that exceeds the capacity has zero utility
+   and never enters the incidence. *)
+let incidence_fits v =
+  let mc = V.mc v and cap = V.capacity_flat v in
+  List.for_all
+    (fun s ->
+      let ids = V.inc_ids v s and ld = V.inc_loads v s in
+      List.for_all
+        (fun i ->
+          List.for_all
+            (fun j -> ld.((i * mc) + j) <= cap.((ids.(i) * mc) + j))
+            (List.init mc Fun.id))
+        (List.init (V.inc_len v s) Fun.id))
+    (List.init (V.num_streams v) Fun.id)
+
+let qcheck_incidence_fits =
+  qtest ~count:500 "incidence loads fit their slot's capacity"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    (fun seed -> incidence_fits (snd (random_view seed)))
+
+(* [best_single] as a scan of every incidence entry's load against its
+   slot's capacity, from empty: the reference the planner must equal. *)
+let best_single_model v =
+  let ns = V.num_streams v in
+  if ns = 0 then None
+  else begin
+    let mc = V.mc v and budget = V.budgets v in
+    let cap = V.capacity_flat v and ucap = V.utility_caps v in
+    let best = ref 0 and best_v = ref 0. in
+    for s = 0 to ns - 1 do
+      let cost = V.cost_row v s in
+      let fits = ref true in
+      for i = 0 to V.m v - 1 do
+        if cost.(i) > budget.(i) then fits := false
+      done;
+      let acc = ref 0. in
+      if !fits then begin
+        let ids = V.inc_ids v s and w = V.inc_w v s and ld = V.inc_loads v s in
+        for i = 0 to V.inc_len v s - 1 do
+          let u = ids.(i) in
+          let ok = ref true in
+          for j = 0 to mc - 1 do
+            if ld.((i * mc) + j) > cap.((u * mc) + j) then ok := false
+          done;
+          if !ok then acc := !acc +. Float.min w.(i) ucap.(u)
+        done
+      end;
+      if s = 0 || not (!best_v >= !acc) then begin
+        best := s;
+        best_v := !acc
+      end
+    done;
+    Some (!best, !best_v)
+  end
+
+let best_single_bits = Option.map (fun (s, x) -> (s, Int64.bits_of_float x))
+
+(* A fresh planner, one after a greedy (which overwrites the bounds a
+   reset seeds), and one whose view changed after its last reset. *)
+let best_single_prop seed =
+  let rng, v = random_view seed in
+  let p = P.create v in
+  let agrees () =
+    best_single_bits (P.best_single p) = best_single_bits (best_single_model v)
+  in
+  let fresh = agrees () in
+  P.reset p;
+  P.extend p;
+  let after_extend = agrees () in
+  let ns = V.num_streams v and mc = V.mc v in
+  if ns > 0 then ignore (V.apply v (D.User_join (random_spec rng ~ns ~mc)));
+  let stale = agrees () in
+  P.reset p;
+  P.extend ~mode:P.Eager p;
+  fresh && after_extend && stale && agrees ()
+
+let qcheck_best_single_model =
+  qtest ~count:500 "best_single equals a scan of the incidence"
+    QCheck2.Gen.(int_range 1 1_000_000)
+    best_single_prop
+
+(* The controller's planner against a fresh one, epoch by epoch, while
+   joins keep growing a popular stream's incidence arrays (so they are
+   reallocated between epochs), leaves shrink them, and cost changes
+   and budget resizes evict between replans. Plan bits and the
+   evaluation count of each solve must equal the fresh planner's. *)
+let test_replan_after_incidence_growth () =
+  List.iter
+    (fun mode ->
+      let inst, _ = world 53 in
+      let pinned = [ 3 ] in
+      let ctrl = C.create ~policy:C.Manual ~pinned inst in
+      let v = C.view ctrl in
+      let rng = Prelude.Rng.create 7 in
+      let reallocated = ref 0 in
+      for epoch = 1 to 14 do
+        let ids0 = V.inc_ids v 0 in
+        for _ = 1 to 7 do
+          let d =
+            match Prelude.Rng.int rng 10 with
+            | 0 | 1 -> (
+                match V.active_slots v with
+                | [] -> D.Budget_resize [| 4.; 4. |]
+                | a -> D.User_leave (List.nth a (Prelude.Rng.int rng (List.length a))))
+            | 2 ->
+                D.Stream_cost_change
+                  { stream = Prelude.Rng.int rng 25;
+                    costs = [| Prelude.Rng.float rng 2.; Prelude.Rng.float rng 2. |] }
+            | 3 ->
+                D.Budget_resize
+                  [| 2. +. Prelude.Rng.float rng 6.; 2. +. Prelude.Rng.float rng 6. |]
+            | _ ->
+                let cap = 1. +. Prelude.Rng.float rng 3. in
+                let interest s =
+                  (s, 0.5 +. Prelude.Rng.float rng 2., [| Prelude.Rng.float rng 4. |])
+                in
+                D.User_join
+                  { D.utility_cap = cap *. 1.5;
+                    capacity = [| cap |];
+                    interests =
+                      interest 0
+                      :: List.init 3 (fun _ -> interest (Prelude.Rng.int rng 25)) }
+          in
+          ignore (C.apply ctrl d)
+        done;
+        if V.inc_ids v 0 != ids0 then incr reallocated;
+        let evals0 = P.evals (C.planner ctrl) in
+        C.replan ~mode ctrl;
+        let fresh = C.scratch_planner ~mode ~pinned v in
+        let msg what = Printf.sprintf "epoch %d: %s" epoch what in
+        check_bool (msg "plan bits equal a fresh planner's") true
+          (same_plan_bits ctrl fresh);
+        check_int (msg "evaluations equal a fresh planner's") (P.evals fresh)
+          (P.evals (C.planner ctrl) - evals0)
+      done;
+      check_bool "the popular stream's incidence was reallocated" true
+        (!reallocated >= 2))
+    [ P.Lazy; P.Eager ]
+
 (* ---------- Counters ---------- *)
 
 let test_counters_accounting () =
@@ -512,6 +768,11 @@ let suite =
     Alcotest.test_case "replan matches scratch solve" `Quick
       test_replan_matches_scratch;
     qcheck_leq_agrees;
+    qcheck_leq_monotone;
+    qcheck_incidence_fits;
+    qcheck_best_single_model;
+    Alcotest.test_case "replan after incidence growth" `Quick
+      test_replan_after_incidence_growth;
     qcheck_metamorphic;
     Alcotest.test_case "counters accounting" `Quick test_counters_accounting;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
