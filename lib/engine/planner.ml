@@ -14,6 +14,17 @@ type t = {
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
   bound : float array;  (* stream -> upper bound; scratch of one extend *)
+  static : float array;  (* stream -> static bound, as [reset] seeds it *)
+  mutable static_version : int;
+      (* the [View.version] [static] was computed at; -1 for never *)
+  mutable live : int array;
+      (* per stream, from [live_off]: positions into its incidence
+         arrays that still add to its marginal; scratch of one extend,
+         see [eval_marginal] *)
+  live_off : int array;  (* stream; placed at the start of every extend *)
+  live_len : int array;  (* stream *)
+  live_stamp : int array;  (* stream -> the extend its list belongs to *)
+  mutable extends : int;  (* extends started: the running one's id *)
   cost_norm : float array;  (* stream; refilled for the candidates of every extend *)
   cand : int array;
       (* stream ids: the lazy greedy's heap, or the eager scan list *)
@@ -35,6 +46,7 @@ type t = {
   mutable slots : int;  (* slot-indexed arrays are sized for this many *)
   total : cell;
   mutable evals : int;
+  mutable visits : int;  (* incidence entries walked by evaluations *)
   mutable eager_equiv : int;
 }
 
@@ -45,6 +57,13 @@ let create view =
     pinned = Array.make ns false;
     used = Array.make (View.m view) 0.;
     bound = Array.make ns 0.;
+    static = Array.make ns 0.;
+    static_version = -1;
+    live = [||];
+    live_off = Array.make ns 0;
+    live_len = Array.make ns 0;
+    live_stamp = Array.make ns 0;
+    extends = 0;
     cost_norm = Array.make ns 0.;
     cand = Array.make ns 0;
     cand_len = 0;
@@ -58,6 +77,7 @@ let create view =
     slots;
     total = { value = 0. };
     evals = 0;
+    visits = 0;
     eager_equiv = 0 }
 
 let ensure_slots t =
@@ -213,31 +233,60 @@ let set_cost_norm t s =
 (* Marginal capped utility of admitting s, which is not admitted, at
    the current plan state.
 
-   This is the engine's innermost loop: one linear walk over the
+   This is the engine's innermost loop: a linear walk over the
    stream's interest incidence (contiguous ids/w/loads arrays from the
    view) against the planner's flat cap_used row, in ascending slot
    order with min-with-residual accumulation. A slot holds only
    admitted streams, so no slot holds s and there is no per-slot
-   membership test. *)
+   membership test.
+
+   Only an entry whose capacity fits and whose slot has residual
+   utility adds to the sum, and one that has failed once fails at
+   every later evaluation of the same extend:
+   - within one extend the view is fixed, and deliveries only add
+     nonnegative loads to [cap_used] and nonnegative utilities to
+     [delivered_util];
+   - float addition is monotone, and [leq] is monotone in its first
+     argument for nonnegative inputs, so a capacity test that failed
+     fails again;
+   - [resid] never increases, so a residual that reached 0 stays 0.
+   So the first evaluation of s in an extend walks every entry and
+   records in its live list the positions that passed both tests; later
+   ones walk only those, and compact the list as more entries fail.
+   The sum adds the same terms in the same ascending order, so every
+   marginal is bit-identical to a walk of the whole incidence. The
+   list is stamped with its extend, and only the extend's own
+   evaluations and admissions read it: this runs only inside one. *)
 let[@inline] eval_marginal t s =
   t.evals <- t.evals + 1;
   let v = t.view in
   let mc = View.mc v in
-  let n = View.inc_len v s in
   let ids = View.inc_ids v s in
   let w = View.inc_w v s in
   let ld = View.inc_loads v s in
   let cap = View.capacity_flat v in
   let ucap = View.utility_caps v in
   let cu = t.cap_used and du = t.delivered_util in
-  let acc = ref 0. in
-  for i = 0 to n - 1 do
+  let first = t.live_stamp.(s) <> t.extends in
+  if first then t.live_stamp.(s) <- t.extends;
+  let live = t.live and off = t.live_off.(s) in
+  let n = if first then View.inc_len v s else t.live_len.(s) in
+  t.visits <- t.visits + n;
+  let acc = ref 0. and kept = ref 0 in
+  for q = 0 to n - 1 do
+    let i = if first then q else Array.unsafe_get live (off + q) in
     let u = Array.unsafe_get ids i in
     if fits_row ~cu ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc then begin
       let r = resid ~ucap ~du u in
-      if r > 0. then acc := !acc +. fmin (Array.unsafe_get w i) r
+      if r > 0. then begin
+        acc := !acc +. fmin (Array.unsafe_get w i) r;
+        (* [kept <= q]: the write never overtakes the read. *)
+        Array.unsafe_set live (off + !kept) i;
+        incr kept
+      end
     end
   done;
+  t.live_len.(s) <- !kept;
   !acc
 
 (* Fold a new delivered utility into slot u's capped share of the
@@ -272,10 +321,22 @@ let deliver_raw t u s =
   t.delivered_util.(u) <- t.delivered_util.(u) +. View.utility v u s;
   recap t ~ucap:(View.utility_caps v) u
 
+(* Deliver s at incidence position i if the slot's capacity and
+   residual utility allow. *)
+let[@inline] deliver_if_fits t ~mc ~cap ~ucap s ~ids ~w ~ld i =
+  let u = ids.(i) in
+  if
+    fits_row ~cu:t.cap_used ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc
+    && resid ~ucap ~du:t.delivered_util u > 0.
+  then deliver_at t ~mc ~ucap u s ~w ~ld i
+
 (* Admit s, which is not admitted and fits the residual budgets, and
    deliver it wherever capacity and residual utility allow. No slot
-   holds s yet, so there is no membership test. *)
-let admit_fitting t s =
+   holds s yet, so there is no membership test. The extend loops
+   admit s right after evaluating it at the current plan state, so
+   only the positions on its live list can pass there ([~live], see
+   [eval_marginal]). *)
+let admit_fitting ~live t s =
   let v = t.view in
   t.admitted.(s) <- true;
   let cost = View.cost_row v s in
@@ -283,24 +344,26 @@ let admit_fitting t s =
     t.used.(i) <- t.used.(i) +. cost.(i)
   done;
   let mc = View.mc v in
-  let n = View.inc_len v s in
   let ids = View.inc_ids v s in
   let w = View.inc_w v s in
   let ld = View.inc_loads v s in
   let cap = View.capacity_flat v in
   let ucap = View.utility_caps v in
-  for i = 0 to n - 1 do
-    let u = ids.(i) in
-    if
-      fits_row ~cu:t.cap_used ~cap ~ld ~base:(u * mc) ~li:(i * mc) mc
-      && resid ~ucap ~du:t.delivered_util u > 0.
-    then deliver_at t ~mc ~ucap u s ~w ~ld i
-  done
+  if live then begin
+    let off = t.live_off.(s) in
+    for q = 0 to t.live_len.(s) - 1 do
+      deliver_if_fits t ~mc ~cap ~ucap s ~ids ~w ~ld t.live.(off + q)
+    done
+  end
+  else
+    for i = 0 to View.inc_len v s - 1 do
+      deliver_if_fits t ~mc ~cap ~ucap s ~ids ~w ~ld i
+    done
 
 let admit t s =
   if t.admitted.(s) || not (fits_budget t s) then false
   else begin
-    admit_fitting t s;
+    admit_fitting ~live:false t s;
     true
   end
 
@@ -316,7 +379,23 @@ let set_static_bound t s =
   for i = 0 to n - 1 do
     acc := !acc +. fmin (Array.unsafe_get w i) ucap.(Array.unsafe_get ids i)
   done;
-  t.bound.(s) <- !acc
+  t.static.(s) <- !acc
+
+(* The static bounds are pure functions of the view, so they are
+   recomputed only when the view changed since they last were: the
+   controller's restart from [A_max] resets twice more over the same
+   view. The per-stream sums are independent read-only walks, so they
+   fan out across the pool; each is computed whole by one worker,
+   keeping the floats bit-identical to the sequential loop. *)
+let refresh_static_bounds t =
+  let version = View.version t.view in
+  if t.static_version <> version then begin
+    Prelude.Pool.iter_chunks ~chunk:64 (View.num_streams t.view) (fun lo hi ->
+        for s = lo to hi - 1 do
+          set_static_bound t s
+        done);
+    t.static_version <- version
+  end
 
 let reset t =
   ensure_slots t;
@@ -330,29 +409,26 @@ let reset t =
   Array.fill t.delivered_util 0 t.slots 0.;
   Array.fill t.capped 0 t.slots 0.;
   t.total.value <- 0.;
-  (* Scratch-replan heap seeding: the per-stream static bounds are
-     independent read-only sums over the view, so they fan out across
-     the pool; each per-stream sum is computed whole by one worker,
-     keeping the floats bit-identical to the sequential loop. *)
-  Prelude.Pool.iter_chunks ~chunk:64 ns (fun lo hi ->
-      for s = lo to hi - 1 do
-        set_static_bound t s
-      done)
+  (* Evaluations overwrite [bound], so the heap is seeded from a copy. *)
+  refresh_static_bounds t;
+  Array.blit t.static 0 t.bound 0 ns
 
 (* The §2.2 [A_max]: the stream whose achievable stand-alone value —
    the capped utility [reset; admit s] would deliver — is largest.
-   Unlike the static bound this respects the budgets (a stream that
-   does not fit transmits nothing) and each user's capacity from
-   empty. Ties go to the lower stream id. *)
+   That is 0 for a stream that does not fit the budgets, and
+   otherwise [Σ min(w, W_u)] over the interested slots whose capacity
+   fits the stream's load from empty. Every incidence entry's load
+   fits its slot's capacity under plain [<=] (the view gives an
+   interest that exceeds it zero utility), so that sum is the static
+   bound, with the same terms in the same order: bit for bit what a
+   scan of the incidence would add. Ties go to the lower stream id. *)
 let best_single t =
   let v = t.view in
   let ns = View.num_streams v in
   if ns = 0 then None
   else begin
-    let mc = View.mc v in
+    refresh_static_bounds t;
     let budget = View.budgets v in
-    let cap = View.capacity_flat v in
-    let ucap = View.utility_caps v in
     let best = ref 0 and best_v = ref 0. in
     for s = 0 to ns - 1 do
       let cost = View.cost_row v s in
@@ -360,25 +436,10 @@ let best_single t =
       for i = 0 to View.m v - 1 do
         if cost.(i) > budget.(i) then fits := false
       done;
-      let acc = ref 0. in
-      if !fits then begin
-        let n = View.inc_len v s in
-        let ids = View.inc_ids v s in
-        let w = View.inc_w v s in
-        let ld = View.inc_loads v s in
-        for i = 0 to n - 1 do
-          let u = ids.(i) in
-          let base = u * mc and li = i * mc in
-          let ok = ref true in
-          for j = 0 to mc - 1 do
-            if ld.(li + j) > cap.(base + j) then ok := false
-          done;
-          if !ok then acc := !acc +. fmin w.(i) ucap.(u)
-        done
-      end;
-      if s = 0 || not (!best_v >= !acc) then begin
+      let value = if !fits then t.static.(s) else 0. in
+      if s = 0 || not (!best_v >= value) then begin
         best := s;
-        best_v := !acc
+        best_v := value
       end
     done;
     Some (!best, !best_v)
@@ -460,6 +521,7 @@ let heap_pop t =
    [lazy] raises. *)
 let m_heap_pops = Obs.Metrics.counter "planner_heap_pops_total"
 let m_evals = Obs.Metrics.counter "planner_marginal_evals_total"
+let m_visits = Obs.Metrics.counter "planner_incidence_visits_total"
 
 (* Whether some candidate fits the residual budgets, testing the heap
    top first. Within one extend [used] only grows, so once none fits,
@@ -476,7 +538,7 @@ let any_fits t =
   !found
 
 let extend_lazy t =
-  let evals0 = t.evals in
+  let evals0 = t.evals and visits0 = t.visits in
   let pops = ref 0 in
   t.cand_len <- 0;
   for s = 0 to View.num_streams t.view - 1 do
@@ -502,7 +564,7 @@ let extend_lazy t =
       fresh := -1;
       if t.bound.(s) <= 0. then continue_ := false
       else if fits_budget t s then begin
-        admit_fitting t s;
+        admit_fitting ~live:true t s;
         fit_seen := false
       end
       (* else: drop s for this extend, exactly as eager does. *)
@@ -514,10 +576,11 @@ let extend_lazy t =
     end
   done;
   Obs.Metrics.inc ~n:!pops m_heap_pops;
-  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
+  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals;
+  Obs.Metrics.inc ~n:(t.visits - visits0) m_visits
 
 let extend_eager t =
-  let evals0 = t.evals in
+  let evals0 = t.evals and visits0 = t.visits in
   t.cand_len <- 0;
   for s = 0 to View.num_streams t.view - 1 do
     if not t.admitted.(s) then begin
@@ -546,20 +609,38 @@ let extend_eager t =
     else begin
       let s = t.cand.(!best) in
       if fits_budget t s then begin
-        admit_fitting t s;
+        admit_fitting ~live:true t s;
         fit_seen := false
       end;
       Array.blit t.cand (!best + 1) t.cand !best (t.cand_len - !best - 1);
       t.cand_len <- t.cand_len - 1
     end
   done;
-  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals
+  Obs.Metrics.inc ~n:(t.evals - evals0) m_evals;
+  Obs.Metrics.inc ~n:(t.visits - visits0) m_visits
+
+(* Give every stream room for its whole incidence in the one flat
+   [live] array: stream s's list starts at [live_off.(s)]. The array
+   grows only when the view's incidence outgrows it, with a quarter
+   to spare, so a population that churns around a steady size does
+   not reallocate it. *)
+let place_live_lists t =
+  let v = t.view in
+  let total = ref 0 in
+  for s = 0 to View.num_streams v - 1 do
+    t.live_off.(s) <- !total;
+    total := !total + View.inc_len v s
+  done;
+  if Array.length t.live < !total then
+    t.live <- Array.make (!total + (!total / 4)) 0
 
 let extend ?(mode = Lazy) t =
   ensure_slots t;
+  place_live_lists t;
   let attrs =
     [ ("mode", match mode with Lazy -> "lazy" | Eager -> "eager") ]
   in
+  t.extends <- t.extends + 1;
   Obs.Span.with_ ~name:"planner.extend" ~attrs (fun () ->
       match mode with Lazy -> extend_lazy t | Eager -> extend_eager t)
 

@@ -17,7 +17,14 @@
     saves.
 
     The heap bounds are scratch state of one {!extend}: {!reset}
-    seeds them, and nothing between replans reads or keeps them.
+    seeds them, and nothing between replans reads or keeps them. So
+    are the per-stream lists of incidence entries that can still add
+    to a marginal: an entry that fails a capacity or residual test
+    once in an extend fails at every later evaluation of that extend,
+    so later evaluations walk only the entries that passed. The
+    static bounds {!reset} seeds from are kept, with the
+    {!View.version} they were computed at, and recomputed only when
+    the view has changed since.
 
     The [note_*] functions absorb churn between replans, keeping the
     plan feasible:
@@ -40,7 +47,8 @@ val create : View.t -> t
 
 val reset : t -> unit
 (** Drop the whole plan and re-seed every candidate bound with its
-    static upper bound [Σ_u min(w_u(S), W_u)]. *)
+    static upper bound [Σ_u min(w_u(S), W_u)]. The static bounds are
+    recomputed only if the view has changed since they last were. *)
 
 val set_pinned : t -> int list -> unit
 (** Streams that repairs evict only as a last resort (live sessions). *)
@@ -93,9 +101,14 @@ val best_single : t -> (int * float) option
     utility — what [reset; admit s] would deliver: 0 if the stream
     does not fit the budgets, and [Σ min(w_u(s), W_u)] over the active
     interested slots whose capacity fits the stream's load from empty.
-    This is the [A_max] of §2.2; the controller's solve restarts from
-    this stream whenever the greedy plan lands below it. [None] when
-    the view has no streams. *)
+    Every interested slot's capacity fits the stream's load (the view
+    gives an interest that exceeds it zero utility), so that sum is
+    the static bound, and it is read from the static bounds of the
+    last {!reset}, bit for bit, in O(streams × m). They are recomputed
+    first if the view has changed since. Ties go to the lower stream
+    id. This is the [A_max] of §2.2; the controller's solve restarts
+    from this stream whenever the greedy plan lands below it. [None]
+    when the view has no streams. *)
 
 (** {1 Churn repairs} *)
 

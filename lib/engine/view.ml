@@ -9,7 +9,11 @@ module SI = Prelude.Sorted_ints
    search through the slot-side sparse tables. The membership set is
    exactly the old [interested] sorted vector, so iteration order —
    and with it every float accumulation in the planner — is unchanged
-   to the bit. *)
+   to the bit. Every entry's load row fits its slot's capacity under
+   plain [<=]: an interest that exceeds it has zero utility and never
+   enters (see [install_spec], and [Instance.create] for the initial
+   users), and a slot's capacity changes only when the slot is
+   reinstalled. The planner's [best_single] relies on it. *)
 module Inc = struct
   type t = {
     mutable ids : int array;  (* ascending slot ids; first [len] live *)

@@ -247,9 +247,14 @@ let test_greedy_stops_at_spent_budget () =
             if s = u / 2 then 1. +. float ((u * 7) mod 10) /. 10. else 0.))
   in
   let v = V.of_instance (smd ~budget:3. ~costs:(Array.make ns 1.) ~utilities ()) in
+  let visits () = Obs.Metrics.sum_counter "planner_incidence_visits_total" in
   let run mode =
+    let visits0 = visits () in
     let p = C.scratch_planner ~mode v in
     check_int "three streams admitted" 3 (List.length (P.admitted p));
+    (* No stream shares a user, so every entry stays live and each
+       evaluation walks its stream's two. *)
+    check_int "exported incidence visits" (2 * P.evals p) (visits () - visits0);
     (P.admitted p, P.evals p)
   in
   let lazy_plan, lazy_evals = run P.Lazy in
