@@ -22,14 +22,21 @@
    - sharded (--shards N): a Shard.Router over N engine stacks. Reads
      --shard-tags, --split, --rebalance-every, --rebalance-k, and
      --replicas / --heartbeat-every for a replica group per shard.
+   - connect (--replica-connect ADDRS): the primary of a socket
+     replica set, a Replica.Proc node. Reads --heartbeat-every,
+     --replica-kill-at and --replica-kill-mid-frame, but not --compare
+     or --certify; it never runs the final replan.
 
    Every replay mode reads --deltas, --gen-deltas, --seed,
    --deltas-out, --epoch, --batch, --domains, --wal-out (a directory
    of per-shard WALs when sharded), --skip-final-replan, --compare,
-   --certify, --stats, --metrics-out and --trace-out. The multi-process
-   replica modes (--replica-listen, --replica-connect,
-   --replica-supervise) each run one process of a socket replica set
-   and read the --replica-* flags.
+   --certify, --stats, --metrics-out and --trace-out. The other socket
+   replica processes are no replay: listen (--replica-listen ADDR, one
+   follower) reads --epoch, --domains, --replica-id and
+   --replica-idle-timeout; supervise (--replica-supervise N, spawning
+   N listen processes and a connect one) reads --deltas, --gen-deltas,
+   --seed, --epoch, --batch, --wal-out, --heartbeat-every and the
+   --replica-* flags, and passes them on.
 
    Batches (--batch N) never cross a boundary event (a crash, kill,
    hand-over, snapshot, checkpoint or rebalance), so every artifact and
@@ -108,92 +115,6 @@ let parse_endpoints s =
   List.map parse_endpoint
     (List.filter (fun x -> x <> "") (String.split_on_char ',' s))
 
-(* Follower process: serve the socket until a primary says quit (or
-   nobody talks to us for the idle timeout). The printed digest is
-   what the supervisor greps to assert convergence. *)
-let follower_serve_run ~policy ~listen ~replica_id ~idle_timeout inst =
-  match
-    Replica.Proc.serve ~idle_timeout_s:idle_timeout ~policy
-      ~endpoint:(parse_endpoint listen) inst
-  with
-  | Replica.Proc.Quit s ->
-      Format.printf "PROC-FOLLOWER %d term=%d acked=%d digest=%s@." replica_id
-        s.Replica.Proc.fterm s.Replica.Proc.acked s.Replica.Proc.state_digest
-  | Replica.Proc.Orphaned ->
-      Format.printf "PROC-FOLLOWER %d orphaned@." replica_id;
-      Format.print_flush ();
-      exit 4
-
-(* Primary process: apply + WAL-flush + ship every record;
-   --replica-kill-at SIGKILLs this very process (optionally leaving a
-   torn frame on every wire first), which is what the supervisor's
-   recovery path exists to survive. *)
-let primary_proc_run ~policy ~records ~endpoints ~wal_writer ~heartbeat_every
-    ~kill_at ~kill_mid_frame inst =
-  let peers = Replica.Proc.connect_peers endpoints in
-  let ctrl = C.create ~policy inst in
-  let history : (int, bool * string) Hashtbl.t = Hashtbl.create 1024 in
-  let hb_every =
-    (Replica.Group.heartbeat_config heartbeat_every).Replica.Group.heartbeat_every
-  in
-  let term = 0 in
-  let applied = ref 0 and last = ref 0 in
-  let next_seq = ref 1 in
-  (* Durability before shipping: the record reaches the (flushed) WAL
-     before any byte of it hits a wire, so the shipped stream is
-     always a prefix-of-WAL and recovery can re-ship the tail. *)
-  let log_record d =
-    match wal_writer with
-    | Some w -> Engine.Wal.append_tee ~flush:true w d
-    | None ->
-        let seq = !next_seq in
-        (seq, Engine.Wal.record_to_string ~seq d)
-  in
-  List.iter
-    (fun (_, d) ->
-      (match kill_at with
-      | Some k when !applied = k ->
-          if kill_mid_frame then begin
-            (* The torn record is durable: it reaches the WAL before
-               the half-frame hits the wire, so recovery must re-ship
-               it to every survivor. *)
-            let _, record = log_record d in
-            Replica.Proc.write_torn_frame peers ~term ~record
-          end;
-          Format.print_flush ();
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-      | _ -> ());
-      let seq, record = log_record d in
-      next_seq := seq + 1;
-      ignore (C.apply ctrl d);
-      Hashtbl.replace history seq (false, record);
-      last := seq;
-      Replica.Proc.ship peers ~term ~shock:false record;
-      incr applied;
-      if !applied mod hb_every = 0 then
-        Replica.Proc.heartbeat peers ~term ~last_seq:!last ~tick:!applied)
-    records;
-  let converged = Replica.Proc.catch_up peers ~term ~history ~last_seq:!last in
-  let mine = Replica.Proc.digest ctrl in
-  let divergent =
-    List.fold_left
-      (fun n p ->
-        match Replica.Proc.collect_digest p with
-        | Some d when d = mine -> n
-        | _ -> n + 1)
-      0 peers
-  in
-  Replica.Proc.quit_peers peers;
-  (match wal_writer with Some w -> Engine.Wal.close w | None -> ());
-  Format.printf
-    "PROC-PRIMARY applied=%d last_seq=%d followers=%d divergent=%d%s@."
-    !applied !last (List.length peers) divergent
-    (if converged then "" else " [NOT converged]");
-  if divergent > 0 || not converged then begin
-    Format.print_flush ();
-    exit 5
-  end
-
 let rec waitpid_retry pid =
   try Unix.waitpid [] pid
   with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
@@ -203,8 +124,7 @@ let rec waitpid_retry pid =
    died by signal (--replica-kill-at SIGKILLs it) — run the recovery
    coordinator over the durable WAL and assert every survivor
    converges bit-identically to the WAL replay. *)
-let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
-    ~wal_out ~heartbeat_every ~kill_at ~kill_mid_frame ~idle_timeout inst =
+let supervise_run o ~policy ~n ~idle_timeout inst =
   if n < 1 then failwith "--replica-supervise: need at least 1 follower";
   let dir =
     let d =
@@ -217,10 +137,9 @@ let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
     d
   in
   let sock i = Filename.concat dir (Printf.sprintf "follower-%d.sock" i) in
+  let addr i = "unix:" ^ sock i in
   let wal =
-    match wal_out with
-    | Some w -> w
-    | None -> Filename.concat dir "primary.wal"
+    Option.value o.wal_out ~default:(Filename.concat dir "primary.wal")
   in
   let exe = Sys.executable_name in
   let ids = List.init n (fun i -> i + 1) in
@@ -234,26 +153,24 @@ let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
       (fun i ->
         ( i,
           spawn
-            [ file; "--replica-listen"; "unix:" ^ sock i; "--replica-id";
+            [ o.file; "--replica-listen"; addr i; "--replica-id";
               string_of_int i; "--replica-idle-timeout";
-              Printf.sprintf "%g" idle_timeout; "--epoch"; epoch ] ))
+              Printf.sprintf "%g" idle_timeout; "--epoch"; o.epoch ] ))
       ids
   in
+  let int_flag flag = function
+    | Some n -> [ flag; string_of_int n ]
+    | None -> []
+  in
   let primary_args =
-    [ file; "--replica-connect";
-      String.concat "," (List.map (fun i -> "unix:" ^ sock i) ids); "--epoch";
-      epoch; "--wal-out"; wal; "--seed"; string_of_int seed ]
-    @ (match gen_deltas with
-      | Some g -> [ "--gen-deltas"; string_of_int g ]
-      | None -> [])
-    @ (match deltas_in with Some p -> [ "--deltas"; p ] | None -> [])
-    @ (match heartbeat_every with
-      | Some h -> [ "--heartbeat-every"; string_of_int h ]
-      | None -> [])
-    @ (match kill_at with
-      | Some k -> [ "--replica-kill-at"; string_of_int k ]
-      | None -> [])
-    @ (if kill_mid_frame then [ "--replica-kill-mid-frame" ] else [])
+    [ o.file; "--replica-connect"; String.concat "," (List.map addr ids);
+      "--epoch"; o.epoch; "--wal-out"; wal; "--seed"; string_of_int o.seed;
+      "--batch"; string_of_int o.batch ]
+    @ int_flag "--gen-deltas" o.gen_deltas
+    @ (match o.deltas_in with Some p -> [ "--deltas"; p ] | None -> [])
+    @ int_flag "--heartbeat-every" o.heartbeat_every
+    @ int_flag "--replica-kill-at" o.replica_kill_at
+    @ (if o.replica_kill_mid_frame then [ "--replica-kill-mid-frame" ] else [])
   in
   let ppid = spawn primary_args in
   let _, pstatus = waitpid_retry ppid in
@@ -263,18 +180,17 @@ let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
   | Unix.WSIGNALED s ->
       Format.printf "PROC-SUPERVISOR primary killed by signal %d; recovering@."
         s;
-      let endpoints = List.map (fun i -> parse_endpoint ("unix:" ^ sock i)) ids in
       (match
-         Replica.Proc.recover_and_verify ~policy ~endpoints ~wal_path:wal
-           ~term:1 inst
+         Replica.Proc.recover_and_verify ~policy
+           ~endpoints:(List.map (fun i -> parse_endpoint (addr i)) ids)
+           ~wal_path:wal ~term:1 inst
        with
-      | Ok r ->
+      | Ok a ->
           Format.printf
             "PROC-SUPERVISOR survivors=%d divergent=%d wal_records=%d \
              digest=%s@."
-            r.Replica.Proc.survivors r.Replica.Proc.divergent
-            r.Replica.Proc.wal_records r.Replica.Proc.reference_digest;
-          if r.Replica.Proc.divergent > 0 then incr failed
+            a.followers a.divergent a.applied a.digest;
+          if a.divergent > 0 then incr failed
       | Error msg ->
           Format.printf "PROC-SUPERVISOR recovery failed: %s@." msg;
           incr failed)
@@ -295,9 +211,7 @@ let supervise_run ~policy ~file ~epoch ~n ~gen_deltas ~deltas_in ~seed
           incr failed)
     followers;
   List.iter (fun i -> try Sys.remove (sock i) with Sys_error _ -> ()) ids;
-  (match wal_out with
-  | None -> ( try Sys.remove wal with Sys_error _ -> ())
-  | Some _ -> ());
+  if o.wal_out = None then (try Sys.remove wal with Sys_error _ -> ());
   (try Unix.rmdir dir with Unix.Unix_error _ -> ());
   Format.printf "PROC-SUPERVISOR done: %d follower(s), %d failure(s)@." n
     !failed;
@@ -834,6 +748,53 @@ let replicated_mode o ~policy ~replicas ~wal_writer inst =
     epilogue = (fun () -> plan_epilogue o (G.primary g));
     partial = None }
 
+(* ---------- Multi-process primary ---------- *)
+
+(* The primary of a socket replica set, a node on the replay loop.
+   --replica-kill-at SIGKILLs this very process at its boundary, after
+   tearing the next record's frame on every wire with
+   --replica-kill-mid-frame; the supervisor's recovery path survives
+   it. A primary that lives audits its followers' digests. *)
+let connect_mode o ~policy ~addrs ~wal_writer inst =
+  let module P = Replica.Proc in
+  let p =
+    P.primary ~policy
+      ~heartbeat_every:
+        (Replica.Group.heartbeat_config o.heartbeat_every)
+          .Replica.Group.heartbeat_every
+      ?wal:wal_writer ~endpoints:(parse_endpoints addrs) inst
+  in
+  let events =
+    match o.replica_kill_at with
+    | None -> []
+    | Some n ->
+        [ At
+            ( n,
+              fun chunk ->
+                if o.replica_kill_mid_frame then P.tear p (snd (List.hd chunk));
+                Format.print_flush ();
+                Unix.kill (Unix.getpid ()) Sys.sigkill ) ]
+  in
+  let summary () =
+    let a = P.finish p in
+    Format.printf
+      "PROC-PRIMARY applied=%d last_seq=%d followers=%d divergent=%d%s@."
+      a.P.applied a.P.last_seq a.P.followers a.P.divergent
+      (if a.P.converged then "" else " [NOT converged]");
+    if a.P.divergent > 0 || not a.P.converged then begin
+      Format.print_flush ();
+      exit 5
+    end
+  in
+  { node = P.node p;
+    events;
+    already = 0;
+    seal = ignore;
+    shard_count = None;
+    summary;
+    epilogue = ignore;
+    partial = None }
+
 (* ---------- Sharded mode ---------- *)
 
 (* Every delta is routed through a Shard.Router over N engine nodes:
@@ -960,12 +921,17 @@ let kind_of o =
       Replicated r
   | _ -> Single
 
-(* Reject every optional flag the chosen replay mode does not read, so
-   none is silently ignored. *)
+let mode_name = function
+  | Single -> "single"
+  | Replicated _ -> "replicated"
+  | Sharded _ -> "sharded"
+  | Listen _ -> "listen"
+  | Connect _ -> "connect"
+  | Supervise _ -> "supervise"
+
+(* Reject every optional flag the chosen mode does not read, so none is
+   silently ignored. *)
 let check_flags o kind =
-  let single = kind = Single in
-  let replicated = match kind with Replicated _ -> true | _ -> false in
-  let sharded = match kind with Sharded _ -> true | _ -> false in
   (match kind with
   | Sharded _ when o.wal_dir <> None ->
       failwith
@@ -978,40 +944,55 @@ let check_flags o kind =
         "--wal-dir is unsupported with --replicas (the group's durable log \
          is --wal-out)"
   | _ -> ());
+  let mode = mode_name kind in
+  let read_in modes =
+    List.iter (fun (flag, given) ->
+        if given && not (List.mem mode modes) then
+          failwith (Printf.sprintf "%s: not read in %s mode" flag mode))
+  in
   let some = Option.is_some in
-  let flags =
-    [ ("--snapshot-in", some o.snapshot_in, single);
-      ("--wal-dir", some o.wal_dir, single);
-      ("--checkpoint-every", some o.checkpoint_every, single);
-      ("--snapshot-out", some o.snapshot_out, single || replicated);
-      ("--snapshot-every", some o.snapshot_every, single || replicated);
-      ("--plan-out", some o.plan_out, single || replicated);
-      ("--crash-after", some o.crash_after, single || replicated);
-      ("--heartbeat-every", some o.heartbeat_every,
-        replicated || (sharded && some o.replicas));
-      ("--kill-primary-at", some o.kill_primary_at, replicated);
-      ("--hand-over-at", some o.hand_over_at, replicated);
-      ("--replica-transport", some o.replica_transport, replicated);
-      ("--shard-tags", some o.shard_tags, sharded);
-      ("--split", some o.split, sharded);
-      ("--rebalance-every", some o.rebalance_every, sharded);
-      ("--rebalance-k", some o.rebalance_k, sharded);
-      ("--replica-listen", some o.replica_listen, false);
-      ("--replica-connect", some o.replica_connect, false);
-      ("--replica-supervise", some o.replica_supervise, false);
-      ("--replica-id", some o.replica_id, false);
-      ("--replica-idle-timeout", some o.replica_idle_timeout, false);
-      ("--replica-kill-at", some o.replica_kill_at, false);
-      ("--replica-kill-mid-frame", o.replica_kill_mid_frame, false) ]
-  in
-  let mode =
-    if single then "single" else if replicated then "replicated" else "sharded"
-  in
-  List.iter
-    (fun (flag, given, read) ->
-      if given && not read then
-        failwith (Printf.sprintf "%s: not read in %s mode" flag mode))
-    flags
+  let replay = [ "single"; "replicated"; "sharded"; "connect" ] in
+  read_in ("supervise" :: replay)
+    [ ("--deltas", some o.deltas_in); ("--gen-deltas", some o.gen_deltas);
+      ("--batch", o.batch <> 1); ("--wal-out", some o.wal_out) ];
+  read_in replay
+    [ ("--deltas-out", some o.deltas_out);
+      ("--skip-final-replan", o.skip_final);
+      ("--stats", o.stats); ("--metrics-out", some o.metrics_out);
+      ("--trace-out", some o.trace_out) ];
+  read_in ("listen" :: replay) [ ("--domains", some o.domains) ];
+  read_in [ "single"; "replicated"; "sharded" ]
+    [ ("--compare", o.compare_scratch); ("--certify", o.certify) ];
+  read_in [ "single" ]
+    [ ("--snapshot-in", some o.snapshot_in); ("--wal-dir", some o.wal_dir);
+      ("--checkpoint-every", some o.checkpoint_every) ];
+  read_in [ "single"; "replicated" ]
+    [ ("--snapshot-out", some o.snapshot_out);
+      ("--snapshot-every", some o.snapshot_every);
+      ("--plan-out", some o.plan_out); ("--crash-after", some o.crash_after) ];
+  read_in [ "replicated"; "sharded" ] [ ("--replicas", some o.replicas) ];
+  read_in
+    ([ "replicated"; "connect"; "supervise" ]
+    @ if some o.replicas then [ "sharded" ] else [])
+    [ ("--heartbeat-every", some o.heartbeat_every) ];
+  read_in [ "replicated" ]
+    [ ("--kill-primary-at", some o.kill_primary_at);
+      ("--hand-over-at", some o.hand_over_at);
+      ("--replica-transport", some o.replica_transport) ];
+  read_in [ "sharded" ]
+    [ ("--shard-tags", some o.shard_tags); ("--split", some o.split);
+      ("--rebalance-every", some o.rebalance_every);
+      ("--rebalance-k", some o.rebalance_k) ];
+  read_in [ "listen" ]
+    [ ("--replica-listen", some o.replica_listen);
+      ("--replica-id", some o.replica_id) ];
+  read_in [ "connect" ] [ ("--replica-connect", some o.replica_connect) ];
+  read_in [ "supervise" ] [ ("--replica-supervise", some o.replica_supervise) ];
+  read_in [ "listen"; "supervise" ]
+    [ ("--replica-idle-timeout", some o.replica_idle_timeout) ];
+  read_in [ "connect"; "supervise" ]
+    [ ("--replica-kill-at", some o.replica_kill_at);
+      ("--replica-kill-mid-frame", o.replica_kill_mid_frame) ]
 
 let at_least_1 flag = function
   | Some n when n < 1 -> failwith (flag ^ ": need at least 1")
@@ -1046,9 +1027,7 @@ let engine_run o =
     at_least_1 "--snapshot-every" o.snapshot_every;
     at_least_1 "--rebalance-every" o.rebalance_every;
     let kind = kind_of o in
-    (match kind with
-    | Single | Replicated _ | Sharded _ -> check_flags o kind
-    | Listen _ | Connect _ | Supervise _ -> ());
+    check_flags o kind;
     Prelude.Pool.set_num_domains o.domains;
     Option.iter Obs.Trace.set_output o.trace_out;
     let policy =
@@ -1061,26 +1040,34 @@ let engine_run o =
       if Engine.Snapshot.is_snapshot text then failwith refuse;
       Mmd.Io.of_string text
     in
-    let replica_id = Option.value o.replica_id ~default:0
-    and idle_timeout = Option.value o.replica_idle_timeout ~default:30. in
+    let idle_timeout = Option.value o.replica_idle_timeout ~default:30. in
     match kind with
-    | Listen listen ->
-        follower_serve_run ~policy ~listen ~replica_id ~idle_timeout
-          (instance ~refuse:"--replica-listen starts from an instance")
+    | Listen listen -> (
+        (* Serve until a primary says quit, or nobody talks for the idle
+           timeout. The supervisor greps the digest for convergence. *)
+        let id = Option.value o.replica_id ~default:0 in
+        match
+          Replica.Proc.serve ~idle_timeout_s:idle_timeout ~policy
+            ~endpoint:(parse_endpoint listen)
+            (instance ~refuse:"--replica-listen starts from an instance")
+        with
+        | Replica.Proc.Quit f ->
+            let module F = Replica.Group.Follower in
+            Format.printf "PROC-FOLLOWER %d term=%d acked=%d digest=%s@." id
+              (F.fterm f) (F.acked f) (Replica.Proc.digest (F.ctrl f))
+        | Replica.Proc.Orphaned ->
+            Format.printf "PROC-FOLLOWER %d orphaned@." id;
+            Format.print_flush ();
+            exit 4)
     | Connect addrs ->
         let inst = instance ~refuse:"--replica-connect starts from an instance" in
         let wal_writer = open_wal o in
-        let records = load_records o (Engine.View.of_instance inst) in
-        primary_proc_run ~policy ~records ~endpoints:(parse_endpoints addrs)
-          ~wal_writer ~heartbeat_every:o.heartbeat_every
-          ~kill_at:o.replica_kill_at ~kill_mid_frame:o.replica_kill_mid_frame
-          inst
+        let m = connect_mode o ~policy ~addrs ~wal_writer inst in
+        let records = load_records o (m.node.view ()) in
+        run_mode { o with skip_final = true } m records;
+        Option.iter Engine.Wal.close wal_writer
     | Supervise n ->
-        supervise_run ~policy ~file:o.file ~epoch:o.epoch ~n
-          ~gen_deltas:o.gen_deltas ~deltas_in:o.deltas_in ~seed:o.seed
-          ~wal_out:o.wal_out ~heartbeat_every:o.heartbeat_every
-          ~kill_at:o.replica_kill_at ~kill_mid_frame:o.replica_kill_mid_frame
-          ~idle_timeout
+        supervise_run o ~policy ~n ~idle_timeout
           (instance ~refuse:"--replica-supervise starts from an instance")
     | Single ->
         let wal_writer = open_wal o in
@@ -1275,9 +1262,9 @@ let opts =
   and+ replica_connect =
     optional ~docs:s_proc Arg.string [ "replica-connect" ] ~docv:"ADDRS"
       "Run this process as the primary of a multi-process replica set: dial \
-       the comma-separated follower $(docv), then apply + WAL-ship every \
-       record over the sockets. Exits 5 if any follower's final digest \
-       diverges."
+       the comma-separated follower $(docv), then replay the log, logging \
+       each batch to the WAL before shipping it over the sockets. There is \
+       no final replan. Exits 5 if any follower's final digest diverges."
   and+ replica_supervise =
     optional ~docs:s_proc Arg.int [ "replica-supervise" ] ~docv:"N"
       "Spawn a replica set of $(docv) follower processes plus one primary \
@@ -1371,7 +1358,10 @@ let cmd =
       `P
         "Every replay mode reads the options under OPTIONS. The options \
          under MULTI-PROCESS REPLICA MODES run one process of a socket \
-         replica set instead of a replay.";
+         replica set: $(b,--replica-connect) is a replay mode (without \
+         $(b,--compare) or $(b,--certify)); $(b,--replica-listen) and \
+         $(b,--replica-supervise) are not; each refuses the options it \
+         does not read.";
       `S Manpage.s_arguments;
       `S Manpage.s_options;
       `S s_single;

@@ -101,11 +101,12 @@ let assign st s =
     (I.interested_users inst s)
 
 (* Compare cost-effectiveness w̄(s)/c(s) without dividing: s beats s'
-   when w·c' > w'·c; zero-cost streams have infinite effectiveness. *)
+   when w·c' > w'·c. A zero-cost stream has infinite effectiveness
+   while its residual is positive and ranks last once it is not. *)
 let better_than ~w ~c ~w' ~c' =
   if c = 0. && c' = 0. then w > w'
   else if c = 0. then w > 0.
-  else if c' = 0. then false
+  else if c' = 0. then w' <= 0. && w > 0.
   else w *. c' > w' *. c
 
 let best_candidate st =

@@ -20,6 +20,9 @@ module Frame = struct
     | Lease { term; last_seq; successor } ->
         Printf.sprintf "L %d %d %d" term last_seq successor
 
+  let record ~shock ~term record =
+    to_string (if shock then Shock { term; record } else Data { term; record })
+
   let two_ints rest =
     match
       String.split_on_char ' ' rest |> List.filter (fun t -> t <> "")
@@ -75,17 +78,147 @@ module Frame = struct
         | tag -> Error (Printf.sprintf "unknown frame tag %S" tag))
 end
 
+(* ---------- The shipped log ---------- *)
+
+module Log = struct
+  type t = {
+    wal : Wal.writer option;
+    mutable next_seq : int;
+    history : (int, bool * string) Hashtbl.t;
+        (** the durable shipped log: seq -> (shock, WAL record bytes) *)
+  }
+
+  let create ?wal () = { wal; next_seq = 1; history = Hashtbl.create 1024 }
+
+  let add t seq ~shock record =
+    Hashtbl.replace t.history seq (shock, record);
+    if seq >= t.next_seq then t.next_seq <- seq + 1
+
+  let append ?flush t ~shock d =
+    let seq, record =
+      match t.wal with
+      | Some w -> Wal.append_tee ?flush w d
+      | None -> (t.next_seq, Wal.record_to_string ~seq:t.next_seq d)
+    in
+    add t seq ~shock record;
+    (seq, record)
+
+  let find t seq = Hashtbl.find_opt t.history seq
+  let last_seq t = t.next_seq - 1
+  let flush t = Option.iter Wal.flush_writer t.wal
+end
+
+(* ---------- Follower protocol ---------- *)
+
+module Follower = struct
+  type t = {
+    mutable ctrl : C.t;
+    mutable acked : int;  (** highest contiguously applied seq *)
+    mutable fterm : int;  (** highest term seen *)
+    pending : (int, bool * Engine.Delta.t) Hashtbl.t;
+        (** verified records buffered out of order: seq -> (shock, delta) *)
+  }
+
+  type received = Advanced | Buffered | Duplicate | Rejected | Heard
+
+  let create ctrl =
+    { ctrl; acked = 0; fterm = 0; pending = Hashtbl.create 16 }
+
+  let apply t ~shock d =
+    if shock then ignore (C.absorb_shock t.ctrl d)
+    else ignore (C.apply t.ctrl d)
+
+  let advance_contiguous t =
+    let from = t.acked in
+    let rec go () =
+      match Hashtbl.find_opt t.pending (t.acked + 1) with
+      | Some (shock, d) ->
+          Hashtbl.remove t.pending (t.acked + 1);
+          apply t ~shock d;
+          t.acked <- t.acked + 1;
+          go ()
+      | None -> ()
+    in
+    go ();
+    if t.acked > from then Advanced else Buffered
+
+  let adopt_term t term =
+    if term > t.fterm then begin
+      t.fterm <- term;
+      (* Buffered records from an older term may straddle the promoted
+         primary's durable prefix; drop them and let the gap retransmit
+         re-ship the authoritative versions. *)
+      Hashtbl.reset t.pending
+    end
+
+  (* The record is decoded inside the frame it arrived in. *)
+  let ingest t ~shock ~term frame ~pos =
+    if term < t.fterm then Rejected
+    else begin
+      adopt_term t term;
+      match
+        Wal.record_of_substring frame ~pos ~len:(String.length frame - pos)
+      with
+      | Error _ ->
+          (* CRC mismatch / truncated frame: drop it, the gap heals via
+             retransmit at the next heartbeat. *)
+          Rejected
+      | Ok (seq, d) ->
+          if seq <= t.acked || Hashtbl.mem t.pending seq then Duplicate
+          else begin
+            Hashtbl.replace t.pending seq (shock, d);
+            advance_contiguous t
+          end
+    end
+
+  let receive t frame =
+    match Frame.record_at frame with
+    | Some (shock, term, pos) -> ingest t ~shock ~term frame ~pos
+    | None -> (
+        match Frame.of_string frame with
+        | Error _ | Ok (Frame.Data _ | Frame.Shock _) -> Rejected
+        | Ok (Frame.Heartbeat { term; _ } | Frame.Lease { term; _ }) ->
+            (* A heartbeat, and the lease that fences a planned
+               handover, carry the sender's term: adopting it makes the
+               follower reject stale frames from a deposed primary. *)
+            if term < t.fterm then Rejected
+            else begin
+              adopt_term t term;
+              Heard
+            end)
+
+  let acked t = t.acked
+  let fterm t = t.fterm
+  let ctrl t = t.ctrl
+  let holds t seq = Hashtbl.mem t.pending seq
+  let clear t = Hashtbl.reset t.pending
+
+  let reset t ~ctrl ~term ~acked =
+    t.ctrl <- ctrl;
+    t.acked <- acked;
+    t.fterm <- term;
+    Hashtbl.reset t.pending
+
+  let replay_to t log ~upto =
+    for seq = t.acked + 1 to upto do
+      (match (Hashtbl.find_opt t.pending seq, Log.find log seq) with
+      | Some (shock, d), _ -> apply t ~shock d
+      | None, Some (shock, record) ->
+          Result.iter
+            (fun (_, d) -> apply t ~shock d)
+            (Wal.record_of_string record)
+      | None, None -> ());
+      t.acked <- seq
+    done;
+    Hashtbl.reset t.pending
+end
+
 (* ---------- Followers ---------- *)
 
 type follower = {
   id : int;
-  mutable ctrl : C.t;
+  st : Follower.t;
   tr : Transport.link;
-  mutable acked : int;  (** highest contiguously applied seq *)
-  mutable fterm : int;  (** highest term seen *)
-  pending : (int, bool * Engine.Delta.t) Hashtbl.t;
-      (** verified records buffered out of order: seq -> (shock, delta) *)
-  mutable hb_last_seq : int;  (** primary's announced last seq *)
   mutable alive : bool;
   mutable last_progress : float;  (** wall clock of the last acked advance *)
   m_lag_records : Obs.Metrics.gauge;
@@ -121,16 +254,12 @@ type t = {
   mutable primary_id : int;
   mutable primary_alive : bool;
   mutable term : int;
-  mutable next_seq : int;
   mutable clock : int;  (** logical ticks: one per applied record *)
   followers : follower array;  (** ids 1..N at indices 0..N-1 *)
   mutable zero : follower option;
       (** replica 0's follower record, created the first time the
           initial primary is demoted by a planned handover *)
-  history : (int, bool * string) Hashtbl.t;
-      (** the durable shipped log: seq -> (shock, WAL record bytes) *)
-  mutable history_hi : int;
-  wal : Wal.writer option;
+  log : Log.t;
   mutable partitioned_until : int;
   mutable suspicion : int;
   mutable deadline : int;  (** tick at which the failure detector fires *)
@@ -151,23 +280,14 @@ type t = {
 let replica_labels labels id = labels @ [ ("replica", string_of_int id) ]
 
 let mk_follower ~labels ~mk_link ~ctrl id =
+  let labels = replica_labels labels id in
   { id;
-    ctrl;
+    st = Follower.create ctrl;
     tr = mk_link id;
-    acked = 0;
-    fterm = 0;
-    pending = Hashtbl.create 16;
-    hb_last_seq = 0;
     alive = true;
     last_progress = Obs.Clock.now ();
-    m_lag_records =
-      Obs.Metrics.gauge
-        ~labels:(replica_labels labels id)
-        "replica_follower_lag_records";
-    m_lag_seconds =
-      Obs.Metrics.gauge
-        ~labels:(replica_labels labels id)
-        "replica_follower_lag_seconds" }
+    m_lag_records = Obs.Metrics.gauge ~labels "replica_follower_lag_records";
+    m_lag_seconds = Obs.Metrics.gauge ~labels "replica_follower_lag_seconds" }
 
 let create ?(policy = C.Every 64) ?(config = default_config) ?(labels = [])
     ?wal ?(mk_link = fun _ -> Transport.queue_link ()) ~replicas inst =
@@ -184,16 +304,13 @@ let create ?(policy = C.Every 64) ?(config = default_config) ?(labels = [])
     primary_id = 0;
     primary_alive = true;
     term = 0;
-    next_seq = 1;
     clock = 0;
     followers =
       Array.init replicas (fun i ->
           let id = i + 1 in
           mk_follower ~labels ~mk_link ~ctrl:(mk_ctrl id) id);
     zero = None;
-    history = Hashtbl.create 1024;
-    history_hi = 0;
-    wal;
+    log = Log.create ?wal ();
     partitioned_until = 0;
     suspicion = 0;
     deadline = config.heartbeat_timeout;
@@ -226,108 +343,38 @@ let find_follower g id =
 
 (* ---------- Follower ingest ---------- *)
 
-let follower_apply f ~shock d =
-  if shock then ignore (C.absorb_shock f.ctrl d) else ignore (C.apply f.ctrl d)
-
-let advance_contiguous f =
-  let progressed = ref false in
-  let rec go () =
-    match Hashtbl.find_opt f.pending (f.acked + 1) with
-    | Some (shock, d) ->
-        Hashtbl.remove f.pending (f.acked + 1);
-        follower_apply f ~shock d;
-        f.acked <- f.acked + 1;
-        progressed := true;
-        go ()
-    | None -> ()
-  in
-  go ();
-  if !progressed then f.last_progress <- Obs.Clock.now ()
-
-let adopt_term f term =
-  if term > f.fterm then begin
-    f.fterm <- term;
-    (* Buffered records from an older term may straddle the promoted
-       primary's durable prefix; drop them and let the gap retransmit
-       re-ship the authoritative versions. *)
-    Hashtbl.reset f.pending
-  end
-
-(* The record is decoded inside the frame it arrived in. *)
-let ingest g f ~shock ~term frame ~pos =
-  if term < f.fterm then Obs.Metrics.inc g.m_rejected
-  else begin
-    adopt_term f term;
-    match
-      Wal.record_of_substring frame ~pos ~len:(String.length frame - pos)
-    with
-    | Error _ ->
-        (* CRC mismatch / truncated frame: drop it, the gap heals via
-           retransmit at the next heartbeat. *)
-        Obs.Metrics.inc g.m_rejected
-    | Ok (seq, d) ->
-        if seq <= f.acked || Hashtbl.mem f.pending seq then
-          Obs.Metrics.inc g.m_dups
-        else begin
-          Hashtbl.replace f.pending seq (shock, d);
-          advance_contiguous f
-        end
-  end
-
 let follower_recv g f frame =
-  match Frame.record_at frame with
-  | Some (shock, term, pos) -> ingest g f ~shock ~term frame ~pos
-  | None -> (
-      match Frame.of_string frame with
-      | Error _ -> Obs.Metrics.inc g.m_rejected
-      | Ok (Frame.Data _ | Frame.Shock _) -> () (* taken by [record_at] *)
-      | Ok (Frame.Heartbeat { term; last_seq; tick = _ }) ->
-          if term >= f.fterm then begin
-            adopt_term f term;
-            f.hb_last_seq <- max f.hb_last_seq last_seq
-          end
-          else Obs.Metrics.inc g.m_rejected
-      | Ok (Frame.Lease { term; last_seq; successor = _ }) ->
-          (* The lease is the term-fence for a planned handover:
-             adopting its term makes every follower reject stale
-             frames from the demoted primary, exactly like a crash
-             promotion's first heartbeat. *)
-          if term >= f.fterm then begin
-            adopt_term f term;
-            f.hb_last_seq <- max f.hb_last_seq last_seq
-          end
-          else Obs.Metrics.inc g.m_rejected)
+  match Follower.receive f.st frame with
+  | Follower.Advanced -> f.last_progress <- Obs.Clock.now ()
+  | Follower.Rejected -> Obs.Metrics.inc g.m_rejected
+  | Follower.Duplicate -> Obs.Metrics.inc g.m_dups
+  | Follower.Buffered | Follower.Heard -> ()
 
 let drain_follower g f = List.iter (follower_recv g f) (Transport.drain f.tr)
 
 (* ---------- Heartbeats, retransmit, failure detection ---------- *)
 
-let record_frame g ~shock record =
-  Frame.to_string
-    (if shock then Frame.Shock { term = g.term; record }
-     else Frame.Data { term = g.term; record })
-
 let retransmit g f =
-  for seq = f.acked + 1 to g.history_hi do
-    if not (Hashtbl.mem f.pending seq) then
-      match Hashtbl.find_opt g.history seq with
+  for seq = f.st.acked + 1 to Log.last_seq g.log do
+    if not (Follower.holds f.st seq) then
+      match Log.find g.log seq with
       | Some (shock, record) ->
           Obs.Metrics.inc g.m_retransmits;
-          f.tr.Transport.send (record_frame g ~shock record)
+          f.tr.Transport.send (Frame.record ~shock ~term:g.term record)
       | None -> ()
   done
 
 let update_lag_gauges g =
   List.iter
     (fun f ->
-      let lag = g.next_seq - 1 - f.acked in
+      let lag = Log.last_seq g.log - f.st.acked in
       Obs.Metrics.set f.m_lag_records (float lag);
       Obs.Metrics.set f.m_lag_seconds
         (if lag = 0 then 0. else Obs.Clock.now () -. f.last_progress))
     (live_followers_list g)
 
 let heartbeat_step g =
-  let last_seq = g.next_seq - 1 in
+  let last_seq = Log.last_seq g.log in
   let live = live_followers_list g in
   let hb =
     Frame.to_string
@@ -335,10 +382,24 @@ let heartbeat_step g =
   in
   List.iter (fun f -> f.tr.Transport.send hb) live;
   List.iter (fun f -> drain_follower g f) live;
-  List.iter (fun f -> if f.acked < last_seq then retransmit g f) live;
+  List.iter (fun f -> if f.st.acked < last_seq then retransmit g f) live;
   update_lag_gauges g;
   g.suspicion <- 0;
   g.deadline <- g.clock + g.cfg.heartbeat_timeout
+
+(* Most caught-up, ties to the lowest id. *)
+let most_caught_up = function
+  | [] -> None
+  | first :: rest ->
+      Some
+        (List.fold_left
+           (fun best f -> if f.st.acked > best.st.acked then f else best)
+           first rest)
+
+let take_down f =
+  f.alive <- false;
+  f.tr.Transport.clear ();
+  Follower.clear f.st
 
 (* A deposed primary must never rejoin the follower set: its follower
    record's [acked] went stale while it served as primary (the shared
@@ -346,12 +407,7 @@ let heartbeat_step g =
    already-applied records. Mark the record dead; only
    [restart_follower]'s scratch rebuild brings the replica back. *)
 let retire_primary_record g =
-  match find_follower g g.primary_id with
-  | Some f ->
-      f.alive <- false;
-      f.tr.Transport.clear ();
-      Hashtbl.reset f.pending
-  | None -> ()
+  Option.iter take_down (find_follower g g.primary_id)
 
 let fail_over g =
   let t0 = Obs.Clock.now () in
@@ -360,35 +416,17 @@ let fail_over g =
   let candidates = live_followers_list g in
   (* First drain the in-flight tail every candidate already holds. *)
   List.iter (fun f -> drain_follower g f) candidates;
-  match candidates with
-  | [] -> false
-  | first :: rest ->
-      (* Deterministic winner: most caught-up, ties to the lowest id. *)
-      let winner =
-        List.fold_left
-          (fun best f -> if f.acked > best.acked then f else best)
-          first rest
-      in
+  match most_caught_up candidates with
+  | None -> false
+  | Some winner ->
       (* Finish the tail from the durable shipped log: everything the
          old primary logged that the winner has not applied yet. *)
-      for seq = winner.acked + 1 to g.history_hi do
-        (match Hashtbl.find_opt winner.pending seq with
-        | Some (shock, d) -> follower_apply winner ~shock d
-        | None -> (
-            match Hashtbl.find_opt g.history seq with
-            | Some (shock, record) -> (
-                match Wal.record_of_string record with
-                | Ok (_, d) -> follower_apply winner ~shock d
-                | Error _ -> ())
-            | None -> ()));
-        winner.acked <- seq
-      done;
-      Hashtbl.reset winner.pending;
+      Follower.replay_to winner.st g.log ~upto:(Log.last_seq g.log);
       winner.last_progress <- Obs.Clock.now ();
       Obs.Metrics.set winner.m_lag_records 0.;
       Obs.Metrics.set winner.m_lag_seconds 0.;
       g.term <- g.term + 1;
-      g.primary <- winner.ctrl;
+      g.primary <- winner.st.ctrl;
       g.primary_id <- winner.id;
       g.primary_alive <- true;
       g.suspicion <- 0;
@@ -422,35 +460,23 @@ let tick g =
 
 (* ---------- Primary operations ---------- *)
 
-let log_record ?flush g d =
-  match g.wal with
-  | Some w ->
-      let seq, record = Wal.append_tee ?flush w d in
-      g.next_seq <- seq + 1;
-      (seq, record)
-  | None ->
-      let seq = g.next_seq in
-      g.next_seq <- seq + 1;
-      (seq, Wal.record_to_string ~seq d)
-
-let ship g ~shock seq record =
-  Hashtbl.replace g.history seq (shock, record);
-  if seq > g.history_hi then g.history_hi <- seq;
+(* Log the record, then send one frame string to every follower: the
+   links only read it. *)
+let ship ?flush g ~shock d =
+  let _, record = Log.append ?flush g.log ~shock d in
   Obs.Metrics.inc g.m_shipped;
-  (* One frame string for every follower: the links only read it. *)
-  let frame = record_frame g ~shock record in
+  let frame = Frame.record ~shock ~term:g.term record in
   List.iter (fun f -> f.tr.Transport.send frame) (live_followers_list g)
 
 let apply ?flush g d =
   if not g.primary_alive then
     invalid_arg "Replica.Group.apply: primary is down (fail_over first)";
   let applied = C.apply g.primary d in
-  let seq, record = log_record ?flush g d in
-  ship g ~shock:false seq record;
+  ship ?flush g ~shock:false d;
   tick g;
   applied
 
-let flush_wal g = match g.wal with Some w -> Wal.flush_writer w | None -> ()
+let flush_wal g = Log.flush g.log
 
 (* The batched apply keeps the per-record state machine — apply, log,
    ship, tick, in that order for every delta, so heartbeats, failure
@@ -468,8 +494,7 @@ let absorb_shock g d =
   if not g.primary_alive then
     invalid_arg "Replica.Group.absorb_shock: primary is down (fail_over first)";
   let recovery = C.absorb_shock g.primary d in
-  let seq, record = log_record g d in
-  ship g ~shock:true seq record;
+  ship g ~shock:true d;
   tick g;
   recovery
 
@@ -491,11 +516,7 @@ let demote_primary_record g ~new_term ~last_seq =
         g.zero <- Some f;
         f
   in
-  f.ctrl <- g.primary;
-  f.acked <- last_seq;
-  f.fterm <- new_term;
-  Hashtbl.reset f.pending;
-  f.hb_last_seq <- last_seq;
+  Follower.reset f.st ~ctrl:g.primary ~term:new_term ~acked:last_seq;
   f.tr.Transport.clear ();
   f.alive <- true;
   f.last_progress <- Obs.Clock.now ();
@@ -506,7 +527,7 @@ let hand_over ?to_ g =
   if not g.primary_alive then Error "primary is down: crash promotion only"
   else begin
     Obs.Metrics.inc g.m_lease_grants;
-    let last_seq = g.next_seq - 1 in
+    let last_seq = Log.last_seq g.log in
     let successor =
       match to_ with
       | Some id -> (
@@ -516,14 +537,9 @@ let hand_over ?to_ g =
               Error
                 (Printf.sprintf
                    "designated successor %d is not a live follower" id))
-      | None -> (
-          match live_followers_list g with
-          | [] -> Error "no live follower to hand over to"
-          | first :: rest ->
-              Ok
-                (List.fold_left
-                   (fun best f -> if f.acked > best.acked then f else best)
-                   first rest))
+      | None ->
+          Option.to_result ~none:"no live follower to hand over to"
+            (most_caught_up (live_followers_list g))
     in
     match successor with
     | Error _ as e -> e
@@ -533,15 +549,15 @@ let hand_over ?to_ g =
            serving) instead of stalling the control plane. *)
         let rounds = ref 0 in
         drain_follower g s;
-        while s.acked < last_seq && !rounds < 64 do
+        while s.st.acked < last_seq && !rounds < 64 do
           incr rounds;
           retransmit g s;
           drain_follower g s
         done;
-        if s.acked < last_seq then
+        if s.st.acked < last_seq then
           Error
             (Printf.sprintf
-               "lease revoked: successor %d stuck at %d/%d" s.id s.acked
+               "lease revoked: successor %d stuck at %d/%d" s.id s.st.acked
                last_seq)
         else begin
           let new_term = g.term + 1 in
@@ -556,7 +572,7 @@ let hand_over ?to_ g =
           List.iter (fun f -> drain_follower g f) live;
           demote_primary_record g ~new_term ~last_seq;
           g.term <- new_term;
-          g.primary <- s.ctrl;
+          g.primary <- s.st.ctrl;
           g.primary_id <- s.id;
           g.primary_alive <- true;
           g.suspicion <- 0;
@@ -577,35 +593,22 @@ let kill_primary g =
 let crash_follower g id =
   match find_follower g id with
   | Some f when f.alive && f.id <> g.primary_id ->
-      f.alive <- false;
-      f.tr.Transport.clear ();
-      Hashtbl.reset f.pending;
+      take_down f;
       true
   | _ -> false
 
 let restart_follower g id =
   match find_follower g id with
   | Some f when not f.alive ->
-      f.ctrl <-
-        C.create ~policy:g.policy ~labels:(replica_labels g.labels f.id) g.inst;
-      f.acked <- 0;
-      f.fterm <- g.term;
-      f.hb_last_seq <- 0;
-      Hashtbl.reset f.pending;
+      let labels = replica_labels g.labels f.id in
+      Follower.reset f.st
+        ~ctrl:(C.create ~policy:g.policy ~labels g.inst)
+        ~term:g.term ~acked:0;
       f.tr.Transport.clear ();
       (* Scratch rebuild: replay the durable shipped log from the
          beginning — the follower-side equivalent of a cold WAL
          recovery. *)
-      for seq = 1 to g.history_hi do
-        match Hashtbl.find_opt g.history seq with
-        | Some (shock, record) -> (
-            match Wal.record_of_string record with
-            | Ok (_, d) ->
-                follower_apply f ~shock d;
-                f.acked <- seq
-            | Error _ -> ())
-        | None -> ()
-      done;
+      Follower.replay_to f.st g.log ~upto:(Log.last_seq g.log);
       f.last_progress <- Obs.Clock.now ();
       f.alive <- true;
       true
@@ -627,7 +630,7 @@ let quiesce ?(max_rounds = 1024) g =
   if not g.primary_alive then ignore (fail_over g);
   let caught_up () =
     List.for_all
-      (fun f -> f.acked = g.next_seq - 1)
+      (fun f -> f.st.acked = Log.last_seq g.log)
       (live_followers_list g)
   in
   let rounds = ref 0 in
@@ -646,8 +649,7 @@ let primary g = g.primary
 let primary_id g = g.primary_id
 let primary_alive g = g.primary_alive
 let term g = g.term
-let clock g = g.clock
-let last_seq g = g.next_seq - 1
+let last_seq g = Log.last_seq g.log
 let replicas g = Array.length g.followers
 let failovers g = g.failovers_n
 let handovers g = g.handovers_n
@@ -659,19 +661,16 @@ let live_followers g = live_followers_list g |> List.map (fun f -> f.id)
 
 let follower_ctrl g id =
   match find_follower g id with
-  | Some f when f.alive -> Some f.ctrl
+  | Some f when f.alive -> Some f.st.ctrl
   | _ -> None
 
 let acked g id =
-  match find_follower g id with Some f -> Some f.acked | None -> None
+  match find_follower g id with Some f -> Some f.st.acked | None -> None
 
 let lag g id =
   match find_follower g id with
-  | Some f -> Some (g.next_seq - 1 - f.acked)
+  | Some f -> Some (Log.last_seq g.log - f.st.acked)
   | None -> None
-
-let link g id =
-  match find_follower g id with Some f -> Some f.tr | None -> None
 
 (* A dead primary with no live follower would spin the failure
    detector forever: resurrect the crashed followers (scratch rebuild

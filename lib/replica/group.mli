@@ -63,10 +63,62 @@ module Frame : sig
 
   val of_string : string -> (t, string) result
 
+  val record : shock:bool -> term:int -> string -> string
+  (** [to_string] of the [Shock] or [Data] frame carrying [record]. *)
+
   val record_at : string -> (bool * int * int) option
   (** For a [Data] or [Shock] frame, [Some (shock, term, pos)] with the
       record's bytes from [pos] to the end: what a follower decodes in
       place, without copying the record out. *)
+end
+
+(** The primary's shipped log, kept for gap retransmit, promotion and
+    catch-up; the in-process group and {!Proc}'s primary both log
+    through it. *)
+module Log : sig
+  type t
+
+  val create : ?wal:Engine.Wal.writer -> unit -> t
+  (** Numbered from 1, or from the WAL's next seq with [wal]. *)
+
+  val append :
+    ?flush:bool -> t -> shock:bool -> Engine.Delta.t -> int * string
+  (** Append to the WAL ([flush], default [true], is its OS flush),
+      keep the record and return [(seq, record)]. *)
+
+  val add : t -> int -> shock:bool -> string -> unit
+  (** Keep a record logged elsewhere, under its own seq. *)
+
+  val find : t -> int -> (bool * string) option
+  val last_seq : t -> int
+  val flush : t -> unit
+end
+
+(** One follower's side of the protocol, the one state machine behind
+    the in-process followers and {!Proc.serve}'s follower process. *)
+module Follower : sig
+  type t
+
+  (** What one frame did: a record that extended the applied prefix, a
+      record buffered until the gap before it fills, a record already
+      applied or buffered, a stale term or failed CRC or no frame at
+      all, or a heartbeat or lease whose term is current or newer. *)
+  type received = Advanced | Buffered | Duplicate | Rejected | Heard
+
+  val create : Engine.Controller.t -> t
+
+  val receive : t -> string -> received
+  (** Ingest one {!Frame} string: adopt a newer term (dropping the
+      buffer), CRC-check a record in place, buffer it, and apply every
+      record contiguous with [acked] ([absorb_shock] for a [Shock]). *)
+
+  val acked : t -> int
+  (** The highest contiguously applied seq. *)
+
+  val fterm : t -> int
+  (** The highest term adopted. *)
+
+  val ctrl : t -> Engine.Controller.t
 end
 
 type config = {
@@ -205,7 +257,6 @@ val primary : t -> Engine.Controller.t
 val primary_id : t -> int
 val primary_alive : t -> bool
 val term : t -> int
-val clock : t -> int
 val last_seq : t -> int
 (** Highest sequence number the (current) primary has logged. *)
 
@@ -233,5 +284,3 @@ val acked : t -> int -> int option
 val lag : t -> int -> int option
 (** [last_seq - acked], the record lag gauge value. *)
 
-val link : t -> int -> Transport.link option
-(** Replica [id]'s transport link (for fault-stat assertions). *)

@@ -4,76 +4,35 @@ module TS = Transport_socket
 
 (* ---------- State digest ---------- *)
 
-let crc s = Prelude.Crc32.to_hex (Prelude.Crc32.digest s)
-
-let digest ctrl =
+let surface ctrl =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf (Printf.sprintf "%h" (C.utility ctrl));
   let total, used, slots = Engine.Planner.float_state (C.planner ctrl) in
-  Buffer.add_string buf (Printf.sprintf "|%h|" total);
-  Array.iter (fun f -> Buffer.add_string buf (Printf.sprintf "%h," f)) used;
+  Printf.bprintf buf "%s|%h|%h|"
+    (Mmd.Io.assignment_to_string (C.plan ctrl))
+    (C.utility ctrl) total;
+  Array.iter (Printf.bprintf buf "%h,") used;
   Array.iter
     (fun (du, capped, cap_used) ->
-      Buffer.add_string buf (Printf.sprintf "|%h;%h" du capped);
-      Array.iter
-        (fun f -> Buffer.add_string buf (Printf.sprintf ";%h" f))
-        cap_used)
+      Printf.bprintf buf "|%h;%h" du capped;
+      Array.iter (Printf.bprintf buf ";%h") cap_used)
     slots;
   let j, l, cc, br, r, e = Engine.Counters.fields (C.counters ctrl) in
   let fa, q, rec_, fb = Engine.Counters.resilience_fields (C.counters ctrl) in
-  Buffer.add_string buf
-    (Printf.sprintf "|%d,%d,%d,%d,%d,%d|%d,%d,%d,%d|%d,%d" j l cc br r e fa
-       q rec_ fb (C.deltas_applied ctrl) (C.since_replan ctrl));
-  Printf.sprintf "%s-%s"
-    (crc (Mmd.Io.assignment_to_string (C.plan ctrl)))
-    (crc (Buffer.contents buf))
+  Printf.bprintf buf "|%d,%d,%d,%d,%d,%d|%d,%d,%d,%d|%d,%d" j l cc br r e fa q
+    rec_ fb (C.deltas_applied ctrl) (C.since_replan ctrl);
+  Buffer.contents buf
+
+let digest ctrl = Prelude.Crc32.to_hex (Prelude.Crc32.digest (surface ctrl))
 
 (* ---------- Follower process ---------- *)
 
-type served = { fterm : int; acked : int; state_digest : string }
-type serve_outcome = Quit of served | Orphaned
+type serve_outcome = Quit of Group.Follower.t | Orphaned
 
+(* A socket loop around [Group.Follower]: it adds only the ack of a
+   heartbeat and the "G" / "Q" control payloads. *)
 let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
   let lfd = TS.listen endpoint in
-  let ctrl = C.create ~policy inst in
-  let fterm = ref 0 in
-  let acked = ref 0 in
-  let pending : (int, bool * Engine.Delta.t) Hashtbl.t = Hashtbl.create 64 in
-  let apply_one ~shock d =
-    if shock then ignore (C.absorb_shock ctrl d) else ignore (C.apply ctrl d)
-  in
-  let advance () =
-    let rec go () =
-      match Hashtbl.find_opt pending (!acked + 1) with
-      | Some (shock, d) ->
-          Hashtbl.remove pending (!acked + 1);
-          apply_one ~shock d;
-          incr acked;
-          go ()
-      | None -> ()
-    in
-    go ()
-  in
-  let adopt term =
-    if term > !fterm then begin
-      fterm := term;
-      Hashtbl.reset pending
-    end
-  in
-  let ingest ~shock ~term frame ~pos =
-    if term >= !fterm then begin
-      adopt term;
-      match
-        Wal.record_of_substring frame ~pos ~len:(String.length frame - pos)
-      with
-      | Error _ -> () (* CRC reject; the gap heals by retransmit *)
-      | Ok (seq, d) ->
-          if seq > !acked && not (Hashtbl.mem pending seq) then begin
-            Hashtbl.replace pending seq (shock, d);
-            advance ()
-          end
-    end
-  in
+  let f = Group.Follower.create (C.create ~policy inst) in
   let outcome = ref Orphaned in
   let serving = ref true in
   let buf = Bytes.create 65536 in
@@ -83,6 +42,10 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
     | Some fd ->
         let dec = Frame_codec.Decoder.create () in
         let connected = ref true in
+        let reply payload =
+          try TS.send_frame fd payload
+          with Unix.Unix_error _ -> connected := false
+        in
         while !connected do
           match TS.recv_frame ~deadline_s:idle_timeout_s ~buf fd dec with
           | TS.Timeout ->
@@ -96,33 +59,15 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
                  coordinator will take over. *)
               connected := false
           | TS.Frame "Q" ->
-              outcome :=
-                Quit
-                  { fterm = !fterm;
-                    acked = !acked;
-                    state_digest = digest ctrl };
+              outcome := Quit f;
               connected := false;
               serving := false
-          | TS.Frame "G" -> (
-              try TS.send_frame fd ("X " ^ digest ctrl)
-              with Unix.Unix_error _ -> connected := false)
+          | TS.Frame "G" -> reply ("X " ^ digest (Group.Follower.ctrl f))
           | TS.Frame payload -> (
-              match Group.Frame.record_at payload with
-              | Some (shock, term, pos) -> ingest ~shock ~term payload ~pos
-              | None -> (
-                  match Group.Frame.of_string payload with
-                  | Ok (Group.Frame.Data _ | Group.Frame.Shock _) -> ()
-                  | Ok (Group.Frame.Heartbeat { term; last_seq = _; tick = _ })
-                    ->
-                      if term >= !fterm then begin
-                        adopt term;
-                        try TS.send_frame fd (Printf.sprintf "A %d" !acked)
-                        with Unix.Unix_error _ -> connected := false
-                      end
-                  | Ok (Group.Frame.Lease { term; last_seq = _; successor = _ })
-                    ->
-                      adopt term
-                  | Error _ -> () (* not a frame we know; drop it *)))
+              match Group.Follower.receive f payload with
+              | Group.Follower.Heard ->
+                  reply (Printf.sprintf "A %d" (Group.Follower.acked f))
+              | _ -> ())
         done;
         TS.close_quiet fd
   done;
@@ -132,7 +77,7 @@ let serve ?(idle_timeout_s = 30.) ?(policy = C.Every 64) ~endpoint inst =
   | TS.Tcp _ -> ());
   !outcome
 
-(* ---------- Primary side ---------- *)
+(* ---------- Primary process ---------- *)
 
 type peer = {
   pfd : Unix.file_descr;
@@ -141,41 +86,25 @@ type peer = {
   mutable packed : int;
 }
 
-let connect_peers endpoints =
-  List.map
-    (fun ep ->
-      { pfd = TS.connect ep;
-        pdec = Frame_codec.Decoder.create ();
-        pbuf = Bytes.create 65536;
-        packed = 0 })
-    endpoints
-
-
+(* Write errors are swallowed: a dead peer is the chaos being tested. *)
 let send_quiet p payload =
   try TS.send_frame p.pfd payload with Unix.Unix_error _ -> ()
 
-let ship peers ~term ~shock record =
-  let payload =
-    Group.Frame.to_string
-      (if shock then Group.Frame.Shock { term; record }
-       else Group.Frame.Data { term; record })
-  in
-  List.iter (fun p -> send_quiet p payload) peers
-
-(* Acks ride back on heartbeats; drain whatever has arrived. *)
-let pump_acks ?(deadline_s = 0.25) p =
-  let continue = ref true in
-  while !continue do
-    match TS.recv_frame ~deadline_s ~buf:p.pbuf p.pfd p.pdec with
-    | TS.Frame payload -> (
-        match String.split_on_char ' ' payload with
-        | [ "A"; n ] -> (
-            match int_of_string_opt n with
-            | Some n -> p.packed <- max p.packed n
-            | None -> ())
-        | _ -> ())
-    | TS.Timeout | TS.Closed -> continue := false
-  done
+(* Read replies until the link stays quiet for [deadline_s]: acks
+   raise [packed], and with [digest] the first "X <digest>" ends the
+   read. *)
+let rec read_replies ?(digest = false) ~deadline_s p =
+  match TS.recv_frame ~deadline_s ~buf:p.pbuf p.pfd p.pdec with
+  | TS.Frame payload -> (
+      match String.split_on_char ' ' payload with
+      | [ "X"; d ] when digest -> Some d
+      | [ "A"; n ] ->
+          Option.iter
+            (fun n -> p.packed <- max p.packed n)
+            (int_of_string_opt n);
+          read_replies ~digest ~deadline_s p
+      | _ -> read_replies ~digest ~deadline_s p)
+  | TS.Timeout | TS.Closed -> None
 
 let heartbeat peers ~term ~last_seq ~tick =
   let hb =
@@ -184,10 +113,13 @@ let heartbeat peers ~term ~last_seq ~tick =
   List.iter
     (fun p ->
       send_quiet p hb;
-      pump_acks p)
+      ignore (read_replies ~deadline_s:0.25 p))
     peers
 
-let catch_up ?(max_rounds = 64) peers ~term ~history ~last_seq =
+(* Heartbeat/retransmit rounds until every peer acks the log's last
+   record (true) or [max_rounds] rounds pass (false). *)
+let catch_up ?(max_rounds = 64) peers ~term log =
+  let last_seq = Group.Log.last_seq log in
   let rounds = ref 0 in
   let behind () = List.filter (fun p -> p.packed < last_seq) peers in
   heartbeat peers ~term ~last_seq ~tick:0;
@@ -196,8 +128,9 @@ let catch_up ?(max_rounds = 64) peers ~term ~history ~last_seq =
     List.iter
       (fun p ->
         for seq = p.packed + 1 to last_seq do
-          match Hashtbl.find_opt history seq with
-          | Some (shock, record) -> ship [ p ] ~term ~shock record
+          match Group.Log.find log seq with
+          | Some (shock, record) ->
+              send_quiet p (Group.Frame.record ~shock ~term record)
           | None -> ()
         done)
       (behind ());
@@ -205,94 +138,117 @@ let catch_up ?(max_rounds = 64) peers ~term ~history ~last_seq =
   done;
   behind () = []
 
-let collect_digest ?(deadline_s = 5.0) p =
-  send_quiet p "G";
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let rec go () =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0. then None
-    else
-      match TS.recv_frame ~deadline_s:remaining ~buf:p.pbuf p.pfd p.pdec with
-      | TS.Frame payload -> (
-          match String.split_on_char ' ' payload with
-          | [ "X"; d ] -> Some d
-          | _ -> go () (* a late ack; keep reading *))
-      | TS.Timeout | TS.Closed -> None
-  in
-  go ()
+type primary = {
+  ctrl : C.t;
+  log : Group.Log.t;
+  peers : peer list;
+  heartbeat_every : int;
+}
 
-let quit_peers peers =
-  List.iter
-    (fun p ->
-      send_quiet p "Q";
-      TS.close_quiet p.pfd)
-    peers
+let primary ?(policy = C.Every 64)
+    ?(heartbeat_every = Group.default_config.Group.heartbeat_every) ?wal
+    ~endpoints inst =
+  { ctrl = C.create ~policy inst;
+    log = Group.Log.create ?wal ();
+    peers =
+      List.map
+        (fun ep ->
+          { pfd = TS.connect ep;
+            pdec = Frame_codec.Decoder.create ();
+            pbuf = Bytes.create 65536;
+            packed = 0 })
+        endpoints;
+    heartbeat_every }
 
-let write_torn_frame peers ~term ~record =
-  let enc =
-    Frame_codec.encode
-      (Group.Frame.to_string (Group.Frame.Data { term; record }))
+(* Every delta is applied the way the followers apply it, one
+   [C.apply] each, because the digest covers counter fields. The batch
+   is logged and flushed before its first byte ships, so the shipped
+   stream is always a prefix of the WAL and recovery can re-ship the
+   tail. The primary ships at term 0; recovery re-ships at a higher
+   one. A heartbeat follows each record whose seq is a multiple of
+   [heartbeat_every]. *)
+let apply_batch p ds =
+  let logged =
+    List.map
+      (fun d ->
+        let applied = C.apply p.ctrl d in
+        (applied, Group.Log.append ~flush:false p.log ~shock:false d))
+      ds
   in
-  let half = String.length enc / 2 in
+  Group.Log.flush p.log;
+  List.map
+    (fun (applied, (seq, record)) ->
+      let frame = Group.Frame.record ~shock:false ~term:0 record in
+      List.iter (fun peer -> send_quiet peer frame) p.peers;
+      if seq mod p.heartbeat_every = 0 then
+        heartbeat p.peers ~term:0 ~last_seq:seq ~tick:seq;
+      applied)
+    logged
+
+let node p =
+  { (Engine.Node.of_controller p.ctrl) with
+    apply = (fun ?flush:_ d -> List.hd (apply_batch p [ d ]));
+    apply_batch = (fun ds -> ignore (apply_batch p ds));
+    flush = (fun () -> Group.Log.flush p.log) }
+
+let tear p d =
+  let _, record = Group.Log.append p.log ~shock:false d in
+  let frame = Group.Frame.record ~shock:false ~term:0 record in
   List.iter
-    (fun p ->
-      try
-        let rec write_all pos len =
-          if len > 0 then
-            match Unix.write_substring p.pfd enc pos len with
-            | n -> write_all (pos + n) (len - n)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-                write_all pos len
-        in
-        write_all 0 half
-      with Unix.Unix_error _ -> ())
-    peers
+    (fun peer ->
+      try TS.send_half_frame peer.pfd frame with Unix.Unix_error _ -> ())
+    p.peers
+
+type audit = {
+  applied : int;
+  followers : int;
+  divergent : int;
+  converged : bool;
+  last_seq : int;
+  digest : string;
+}
+
+let finish ?(term = 0) p =
+  let converged = catch_up p.peers ~term p.log in
+  let reference = digest p.ctrl in
+  let divergent =
+    List.fold_left
+      (fun n peer ->
+        send_quiet peer "G";
+        match read_replies ~digest:true ~deadline_s:5.0 peer with
+        | Some d when d = reference -> n
+        | _ -> n + 1)
+      0 p.peers
+  in
+  List.iter
+    (fun peer ->
+      send_quiet peer "Q";
+      TS.close_quiet peer.pfd)
+    p.peers;
+  { applied = C.deltas_applied p.ctrl;
+    followers = List.length p.peers;
+    divergent;
+    converged;
+    last_seq = Group.Log.last_seq p.log;
+    digest = reference }
 
 (* ---------- Recovery coordinator ---------- *)
 
-type recovery_report = {
-  survivors : int;
-  divergent : int;
-  wal_records : int;
-  reference_digest : string;
-}
-
-let recover_and_verify ?(policy = C.Every 64) ~endpoints ~wal_path ~term inst
-    =
+(* The coordinator is a primary whose controller and log are rebuilt
+   from the durable WAL. A WAL record is a pure function of (seq,
+   delta), so re-encoding each one gives the logged bytes back. *)
+let recover_and_verify ?policy ~endpoints ~wal_path ~term inst =
   match Wal.recover_file wal_path with
   | Error msg -> Error ("WAL recovery failed: " ^ msg)
   | Ok r ->
-      let records = r.Wal.records in
-      let last_seq = List.fold_left (fun hi (s, _) -> max hi s) 0 records in
-      (* Re-encode the durable records byte-identically: a WAL record
-         is a pure function of (seq, delta). *)
-      let history = Hashtbl.create 1024 in
+      let p = primary ?policy ~endpoints inst in
       List.iter
         (fun (seq, d) ->
-          Hashtbl.replace history seq (false, Wal.record_to_string ~seq d))
-        records;
-      let peers = connect_peers endpoints in
-      let converged = catch_up peers ~term ~history ~last_seq in
-      (* The reference: a fresh controller fed the same durable log. *)
-      let reference = C.create ~policy inst in
-      List.iter (fun (_, d) -> ignore (C.apply reference d)) records;
-      let reference_digest = digest reference in
-      let digests = List.map collect_digest peers in
-      quit_peers peers;
-      if not converged then
-        Error
-          (Printf.sprintf "a survivor never caught up to seq %d" last_seq)
+          ignore (C.apply p.ctrl d);
+          Group.Log.add p.log seq ~shock:false (Wal.record_to_string ~seq d))
+        r.Wal.records;
+      let a = finish ~term p in
+      if a.converged then Ok a
       else
-        let divergent =
-          List.fold_left
-            (fun n d ->
-              match d with
-              | Some d when d = reference_digest -> n
-              | _ -> n + 1)
-            0 digests
-        in
-        Ok
-          { survivors = List.length peers;
-            divergent;
-            wal_records = List.length records;
-            reference_digest }
+        Error
+          (Printf.sprintf "a survivor never caught up to seq %d" a.last_seq)

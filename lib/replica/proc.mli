@@ -1,38 +1,35 @@
 (** Multi-process replica sets.
 
-    Each follower is its own OS process: it listens on a socket,
-    ingests {!Frame_codec}-framed {!Group.Frame} payloads from the
-    primary, and applies the shipped WAL records through the ordinary
-    {!Engine.Controller.apply} path — the same state machine as the
-    in-process group, with the process boundary and the real network
-    in between. A [kill -9] of the primary (including mid-frame) is
-    survivable by construction: the primary appends + flushes each
-    record to its WAL {e before} shipping, so a coordinator can
-    recover the durable log, re-ship the tail to every survivor at a
-    higher term, and verify bit-identical convergence via state
-    digests.
+    Each follower is its own OS process that feeds the
+    {!Frame_codec}-framed {!Group.Frame} payloads it receives to a
+    {!Group.Follower}: follower ingest is [Group]'s. The primary is a
+    node ({!node}) on the replay loop that logs each batch through a
+    {!Group.Log} and flushes the WAL {e before} any byte of it ships,
+    so a [kill -9] of the primary (including mid-frame) is survivable
+    by construction: a coordinator recovers the durable log, re-ships
+    the tail to every survivor at a higher term, and verifies
+    bit-identical convergence via state digests.
 
     Wire payloads are the {!Group.Frame} strings plus four control
     payloads: ["A <acked>"] (follower acks its contiguous prefix on
     every heartbeat), ["G"] / ["X <digest>"] (digest request/reply)
     and ["Q"] (quit). *)
 
+val surface : Engine.Controller.t -> string
+(** The full bit-identity surface, unhashed: plan bytes, utility bits,
+    planner float accumulators, counter fields, lifetime delta count
+    and epoch phase. Two controllers have equal surfaces iff the
+    replication invariant holds between them. *)
+
 val digest : Engine.Controller.t -> string
-(** A compact, space-free digest of the full bit-identity surface:
-    plan bytes, utility bits, planner float accumulators, counter
-    fields, lifetime delta count and epoch phase. Two controllers
-    digest equal iff the replication invariant holds between them. *)
+(** A compact, space-free hash of {!surface}, for the wire. *)
 
 (** {1 Follower process} *)
 
-type served = {
-  fterm : int;  (** highest term the follower adopted *)
-  acked : int;  (** contiguous prefix applied *)
-  state_digest : string;
-}
-
 type serve_outcome =
-  | Quit of served  (** a primary said ["Q"] — clean shutdown *)
+  | Quit of Group.Follower.t
+      (** a primary said ["Q"] — clean shutdown; the follower's final
+          state *)
   | Orphaned  (** no primary (re)connected or spoke within the idle
                   timeout — the supervisor lost us *)
 
@@ -42,59 +39,57 @@ val serve :
   endpoint:Transport_socket.endpoint ->
   Mmd.Instance.t ->
   serve_outcome
-(** Run the follower loop: accept a connection, ingest frames
-    (term-fenced, CRC-checked, buffered out of order, applied
-    contiguously), ack on heartbeats, and — when the connection drops
-    (primary crashed) — go back to accepting, so a recovery
-    coordinator or successor primary can take over. [idle_timeout_s]
-    (default 30) bounds how long the process lingers with no primary
-    talking to it. *)
+(** Run the follower loop: accept a connection, hand every frame to
+    {!Group.Follower.receive}, ack each heartbeat it accepts, and —
+    when the connection drops (primary crashed) — go back to
+    accepting, so a recovery coordinator or successor primary can take
+    over. [idle_timeout_s] (default 30) bounds how long the process
+    lingers with no primary talking to it. *)
 
-(** {1 Primary side} *)
+(** {1 Primary process} *)
 
-type peer
-(** One connected follower, from the primary's point of view. *)
+type primary
 
-val connect_peers : Transport_socket.endpoint list -> peer list
-(** Dial every follower (with {!Transport_socket.connect}'s backoff,
-    so followers may still be starting). *)
+val primary :
+  ?policy:Engine.Controller.epoch_policy ->
+  ?heartbeat_every:int ->
+  ?wal:Engine.Wal.writer ->
+  endpoints:Transport_socket.endpoint list ->
+  Mmd.Instance.t ->
+  primary
+(** Dial every follower (with {!Transport_socket.connect}'s backoff)
+    and start a controller on [inst]. A heartbeat, which pumps the
+    followers' acks, follows every record whose seq is a multiple of
+    [heartbeat_every] (default 8). *)
 
-val ship : peer list -> term:int -> shock:bool -> string -> unit
-(** Send one WAL record, in a [Data] or [Shock] frame, to every peer (write errors are
-    swallowed — a dead peer is the chaos being tested). *)
+val node : primary -> Engine.Node.t
+(** The primary as a node: [apply_batch] applies each delta through
+    {!Engine.Controller.apply}, logs the batch through a {!Group.Log},
+    flushes the WAL once, then ships each record at term 0 to every
+    follower ([apply] is a batch of one). Followers never replan
+    outside an epoch, so a [replan] before {!finish} makes the digests
+    differ. *)
 
-val heartbeat : peer list -> term:int -> last_seq:int -> tick:int -> unit
-(** Send a heartbeat and pump any pending acks. *)
+val tear : primary -> Engine.Delta.t -> unit
+(** Log the delta (flushed, not applied) and write the first half of
+    its encoded frame to every follower — the mid-frame kill: the
+    caller SIGKILLs itself right after. *)
 
-val catch_up :
-  ?max_rounds:int ->
-  peer list ->
-  term:int ->
-  history:(int, bool * string) Hashtbl.t ->
-  last_seq:int ->
-  bool
-(** Heartbeat/retransmit rounds until every peer acks [last_seq]
-    (true) or [max_rounds] (default 64) rounds pass (false). *)
+type audit = {
+  applied : int;  (** deltas the primary's controller applied *)
+  followers : int;
+  divergent : int;  (** followers whose digest is not [digest] *)
+  converged : bool;  (** every follower acked [last_seq] *)
+  last_seq : int;  (** the last record logged *)
+  digest : string;  (** the primary's *)
+}
 
-val collect_digest : ?deadline_s:float -> peer -> string option
-(** ["G"] → ["X <digest>"]. *)
-
-val quit_peers : peer list -> unit
-(** Send ["Q"] and close the connections. *)
-
-val write_torn_frame : peer list -> term:int -> record:string -> unit
-(** Write exactly the first half of one encoded Data frame to every
-    peer — the mid-frame kill: the caller SIGKILLs itself right after,
-    leaving a torn frame on every wire. *)
+val finish : ?term:int -> primary -> audit
+(** Heartbeat/retransmit rounds at [term] (default 0; at most 64
+    rounds) until every follower acks the last record, then compare
+    each follower's digest with the primary's and send ["Q"]. *)
 
 (** {1 Recovery coordinator} *)
-
-type recovery_report = {
-  survivors : int;
-  divergent : int;  (** survivors whose digest differs from the WAL replay *)
-  wal_records : int;
-  reference_digest : string;
-}
 
 val recover_and_verify :
   ?policy:Engine.Controller.epoch_policy ->
@@ -102,10 +97,10 @@ val recover_and_verify :
   wal_path:string ->
   term:int ->
   Mmd.Instance.t ->
-  (recovery_report, string) result
-(** After the primary died: recover the durable WAL, connect to every
-    surviving follower at [term] (strictly above the dead primary's),
-    re-ship the tail each one is missing, replay the same records
-    through a fresh in-process controller for the reference digest,
-    collect each survivor's digest, and send ["Q"]. [Error _] when the
-    WAL is unreadable or a survivor never catches up. *)
+  (audit, string) result
+(** After the primary died: recover the durable WAL into a fresh
+    primary's controller and log (so [applied] counts the WAL's
+    records), and {!finish} it at [term], which must be above the
+    dead primary's: every survivor gets the tail it is missing and is
+    audited against the WAL replay. [Error _] when the WAL is
+    unreadable or a survivor never catches up. *)

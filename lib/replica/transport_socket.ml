@@ -111,6 +111,10 @@ let send_frame fd payload =
   let enc = Frame_codec.encode payload in
   write_all fd enc 0 (String.length enc)
 
+let send_half_frame fd payload =
+  let enc = Frame_codec.encode payload in
+  write_all fd enc 0 (String.length enc / 2)
+
 type recv_result = Frame of string | Timeout | Closed
 
 let recv_frame ?(deadline_s = 5.0) ~buf fd dec =

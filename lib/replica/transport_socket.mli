@@ -53,6 +53,9 @@ val connect :
 val send_frame : Unix.file_descr -> string -> unit
 (** Encode one payload and write it fully, riding out short writes. *)
 
+val send_half_frame : Unix.file_descr -> string -> unit
+(** Write the first half of the encoded payload: a torn frame. *)
+
 type recv_result =
   | Frame of string  (** one complete, CRC-verified payload *)
   | Timeout  (** nothing decodable arrived within the deadline *)

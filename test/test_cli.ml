@@ -5,8 +5,8 @@
 
 open Helpers
 
-let run ~dir args =
-  Test_replay_pins.transcript ~dir ("TMP/inst.mmd" :: "--gen-deltas" :: "60" :: args)
+let run ?(log = [ "--gen-deltas"; "60" ]) ~dir args =
+  Test_replay_pins.transcript ~dir (("TMP/inst.mmd" :: log) @ args)
 
 let with_instance f =
   Test_replay_pins.with_tmp_dir (fun dir ->
@@ -15,8 +15,8 @@ let with_instance f =
             (Test_replay_pins.read_file (Test_replay_pins.golden "engine.mmd")));
       f dir)
 
-let check_refused ~dir args message =
-  let out = run ~dir args in
+let check_refused ?log ~dir args message =
+  let out = run ?log ~dir args in
   check_bool
     (String.concat " " args ^ " refused with " ^ message)
     true
@@ -54,6 +54,32 @@ let test_unread_flags_refused () =
         "--rebalance-every: not read in replicated mode";
       check_refused ~dir [ "--replicas"; "2"; "--checkpoint-every"; "10" ]
         "--checkpoint-every: not read in replicated mode")
+
+(* The multi-process modes refuse a flag they do not read before they
+   listen, dial or spawn anything. *)
+let test_process_modes_refuse_unread_flags () =
+  with_instance (fun dir ->
+      check_refused ~log:[] ~dir
+        [ "--replica-listen"; "unix:TMP/f.sock"; "--kill-primary-at"; "5" ]
+        "--kill-primary-at: not read in listen mode";
+      check_refused ~log:[] ~dir
+        [ "--replica-listen"; "unix:TMP/f.sock"; "--batch"; "64" ]
+        "--batch: not read in listen mode";
+      check_refused ~dir [ "--replica-listen"; "unix:TMP/f.sock" ]
+        "--gen-deltas: not read in listen mode";
+      check_refused ~dir
+        [ "--replica-connect"; "unix:TMP/f.sock"; "--certify" ]
+        "--certify: not read in connect mode";
+      check_refused ~dir
+        [ "--replica-connect"; "unix:TMP/f.sock"; "--snapshot-out";
+          "TMP/x.eng" ]
+        "--snapshot-out: not read in connect mode";
+      check_refused ~dir [ "--replica-supervise"; "1"; "--certify" ]
+        "--certify: not read in supervise mode";
+      check_refused ~dir [ "--replica-supervise"; "1"; "--stats" ]
+        "--stats: not read in supervise mode";
+      check_bool "no snapshot written" false
+        (Sys.file_exists (Filename.concat dir "x.eng")))
 
 let test_cadences_at_least_1 () =
   with_instance (fun dir ->
@@ -213,6 +239,8 @@ let test_damaged_snapshot_falls_back () =
 let suite =
   [ Alcotest.test_case "flags a mode does not read are refused" `Quick
       test_unread_flags_refused;
+    Alcotest.test_case "process modes refuse flags they do not read" `Quick
+      test_process_modes_refuse_unread_flags;
     Alcotest.test_case "heartbeat and event periods below 1 refused" `Quick
       test_cadences_at_least_1;
     Alcotest.test_case "--trace-out honoured in every mode" `Quick

@@ -117,6 +117,20 @@ let test_zero_cost_streams_first () =
      budget still accommodates the other. *)
   Alcotest.(check (list int)) "free first" [ 0; 1 ] r.G.picks
 
+(* Stream 0 saturates user 0 for free, which leaves stream 1 free but
+   worth nothing. That spent free stream must not outrank stream 2,
+   which costs the whole budget and is worth 5 to user 1. *)
+let test_spent_free_stream_ranks_last () =
+  let t =
+    smd ~budget:1. ~caps:[| 1.; infinity |]
+      ~costs:[| 0.; 0.; 1. |]
+      ~utilities:[| [| 1.; 1.; 0. |]; [| 0.; 0.; 5. |] |]
+      ()
+  in
+  let r = G.run t in
+  Alcotest.(check (list int)) "free stream, then the paid one" [ 0; 2 ] r.G.picks;
+  check_float "utility" 6. (utility t r.G.assignment)
+
 (* Reference implementation: the same algorithm with residual utilities
    recomputed from scratch every iteration (no incremental updates).
    The optimized greedy must make identical decisions. *)
@@ -143,7 +157,7 @@ let naive_greedy inst =
   let better w c w' c' =
     if c = 0. && c' = 0. then w > w'
     else if c = 0. then w > 0.
-    else if c' = 0. then false
+    else if c' = 0. then w' <= 0. && w > 0.
     else w *. c' > w' *. c
   in
   let picks = ref [] in
@@ -292,6 +306,7 @@ let suite =
     ("warm start over budget", `Quick, test_initial_streams_over_budget);
     ("m=1 precondition", `Quick, test_precondition);
     ("zero-cost streams first", `Quick, test_zero_cost_streams_first);
+    ("spent free stream ranks last", `Quick, test_spent_free_stream_ranks_last);
     incremental_matches_naive;
     lemma_2_6_bound;
     budget_never_violated;

@@ -329,13 +329,13 @@ let test_proc_sigkill_primary () =
       check_bool "supervisor saw no failures" true
         (contains out "0 failure(s)"))
 
-let test_proc_sigkill_mid_frame () =
+let sigkill_mid_frame ~batch () =
   with_instance (fun inst ->
       let status, out =
         run_engine
           [ inst; "--gen-deltas"; "150"; "--seed"; "5"; "--replica-supervise";
             "3"; "--heartbeat-every"; "4"; "--replica-kill-at"; "75";
-            "--replica-kill-mid-frame" ]
+            "--replica-kill-mid-frame"; "--batch"; string_of_int batch ]
       in
       check_bool "clean exit" true (status = Unix.WEXITED 0);
       check_bool "primary really died by signal" true
@@ -387,7 +387,10 @@ let suite =
     Alcotest.test_case "multi-process: SIGKILL primary" `Quick
       test_proc_sigkill_primary;
     Alcotest.test_case "multi-process: SIGKILL mid-frame" `Quick
-      test_proc_sigkill_mid_frame;
+      (sigkill_mid_frame ~batch:1);
+    (* Batches stop at the kill boundary, so the same record is torn. *)
+    Alcotest.test_case "multi-process: SIGKILL mid-frame, batch 16" `Quick
+      (sigkill_mid_frame ~batch:16);
     Alcotest.test_case "cli: planned hand-over over sockets" `Quick
       test_cli_hand_over ]
   @ Socket_matrix.suite
