@@ -100,15 +100,8 @@ let assign st s =
       end)
     (I.interested_users inst s)
 
-(* Compare cost-effectiveness w̄(s)/c(s) without dividing: s beats s'
-   when w·c' > w'·c. A zero-cost stream has infinite effectiveness
-   while its residual is positive and ranks last once it is not. *)
-let better_than ~w ~c ~w' ~c' =
-  if c = 0. && c' = 0. then w > w'
-  else if c = 0. then w > 0.
-  else if c' = 0. then w' <= 0. && w > 0.
-  else w *. c' > w' *. c
-
+(* The candidate first in [Prelude.Pick]'s order of residual
+   w̄(s) per cost c(s), the lower stream on a tie. *)
 let best_candidate st =
   let inst = st.inst in
   let best = ref (-1) in
@@ -116,7 +109,7 @@ let best_candidate st =
   for s = 0 to I.num_streams inst - 1 do
     if st.candidate.(s) then begin
       let w = st.stream_resid.(s) and c = I.server_cost inst s 0 in
-      if !best < 0 || better_than ~w ~c ~w':!best_w ~c':!best_c then begin
+      if !best < 0 || Prelude.Pick.better w c !best_w !best_c then begin
         best := s;
         best_w := w;
         best_c := c

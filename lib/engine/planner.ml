@@ -13,7 +13,7 @@ type t = {
   admitted : bool array;  (* stream *)
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
-  bound : float array;  (* stream -> upper bound; scratch of one extend *)
+  bound : float array;  (* stream -> marginal bound (lazy) or marginal (eager); scratch of one extend *)
   static : float array;  (* stream -> static bound, as [reset] seeds it *)
   mutable static_version : int;
       (* the [View.version] [static] was computed at; -1 for never *)
@@ -445,35 +445,13 @@ let best_single t =
     Some (!best, !best_v)
   end
 
-(* Cost-effectiveness order without division: s (with marginal w, cost
-   c) beats s' when w·c' > w'·c. A zero-cost stream has infinite
-   effectiveness while its marginal is positive, and 0 once it is not,
-   like any stream without marginal. (Were it tied with every
-   positive-cost stream instead, the order would have cycles, and the
-   lazy heap could surface and re-evaluate around one forever.) *)
-let[@inline] better_than w c w' c' =
-  if c = 0. && c' = 0. then w > w'
-  else if c = 0. then w > 0.
-  else if c' = 0. then w' <= 0. && w > 0.
-  else w *. c' > w' *. c
-
-(* The greedy's pick order on (marginal, cost_norm, stream) entries:
-   the more cost-effective first, ties to the lower stream id, so the
-   lazy and eager modes make identical picks. [better_than] is
-   antisymmetric, so this equals "better, else not worse and the lower
-   id". *)
-let[@inline] precedes w c s w' c' s' =
-  better_than w c w' c' || ((not (better_than w' c' w c)) && s < s')
-
 (* The lazy greedy's max-heap of candidates, held in [t.cand] as stream
-   ids keyed by [t.bound] and [t.cost_norm]. A key changes only for the
-   top entry, just before [sift_down t 0]. Float rounding can make
-   [precedes] less than transitive, and then the order in which entries
-   surface depends on the sift steps: these compare and swap exactly as
-   [Prelude.Heap] does, which the pinned plans depend on. *)
+   ids keyed by [t.bound] and [t.cost_norm] and ordered by
+   [Prelude.Pick]. A key changes only for the top entry, just before
+   [sift_down t 0]. The order is strict and total, so the top is the
+   same whatever path the sifts take. *)
 let[@inline] heap_lt t a b =
-  let sa = t.cand.(a) and sb = t.cand.(b) in
-  precedes t.bound.(sa) t.cost_norm.(sa) sa t.bound.(sb) t.cost_norm.(sb) sb
+  Prelude.Pick.precedes_in t.bound t.cost_norm t.cand.(a) t.cand.(b)
 
 let heap_swap t i j =
   let tmp = t.cand.(i) in
@@ -594,18 +572,14 @@ let extend_eager t =
   while !continue_ && t.cand_len > 0 && (!fit_seen || any_fits t) do
     fit_seen := true;
     t.eager_equiv <- t.eager_equiv + t.cand_len;
-    let best = ref 0 and best_m = ref 0. in
+    let best = ref 0 in
     for k = 0 to t.cand_len - 1 do
       let s = t.cand.(k) in
-      let m = eval_marginal t s in
-      let b = t.cand.(!best) in
-      if k = 0 || precedes m t.cost_norm.(s) s !best_m t.cost_norm.(b) b
-      then begin
-        best := k;
-        best_m := m
-      end
+      t.bound.(s) <- eval_marginal t s;
+      if Prelude.Pick.precedes_in t.bound t.cost_norm s t.cand.(!best) then
+        best := k
     done;
-    if !best_m <= 0. then continue_ := false
+    if t.bound.(t.cand.(!best)) <= 0. then continue_ := false
     else begin
       let s = t.cand.(!best) in
       if fits_budget t s then begin

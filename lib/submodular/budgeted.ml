@@ -6,14 +6,6 @@ let validate ~cost ~budget ground_size =
     if cost x < 0. then invalid_arg "Budgeted: negative cost"
   done
 
-(* Cost-effectiveness comparison without division: (g1, c1) beats
-   (g2, c2) iff g1/c1 > g2/c2, zero costs first. *)
-let better g1 c1 g2 c2 =
-  if c1 = 0. && c2 = 0. then g1 > g2
-  else if c1 = 0. then g1 > 0.
-  else if c2 = 0. then false
-  else g1 *. c2 > g2 *. c1
-
 let greedy ~f ~cost ~budget () =
   let n = f.Fn.ground_size in
   validate ~cost ~budget n;
@@ -28,7 +20,10 @@ let greedy ~f ~cost ~budget () =
     for x = 0 to n - 1 do
       if (not in_solution.(x)) && cost x <= budget -. spent +. 1e-12 then begin
         let gain = eval (x :: chosen) -. value in
-        if gain > 1e-12 && (!best < 0 || better gain (cost x) !best_gain !best_cost)
+        if
+          gain > 1e-12
+          && (!best < 0
+             || Prelude.Pick.better gain (cost x) !best_gain !best_cost)
         then begin
           best := x;
           best_gain := gain;
@@ -57,13 +52,13 @@ let lazy_greedy ~f ~cost ~budget () =
     incr calls;
     f.Fn.eval (List.sort_uniq compare set)
   in
-  (* Heap orders by cost-effectiveness (descending), so compare
-     swapped; entries carry the round at which the gain was computed. *)
+  (* The heap pops in pick order; entries carry the round at which the
+     gain was computed. *)
   let heap =
     Prelude.Heap.create ~cmp:(fun (g1, c1, x1, _) (g2, c2, x2, _) ->
-        if better g1 c1 g2 c2 then -1
-        else if better g2 c2 g1 c1 then 1
-        else compare x1 x2)
+        if Prelude.Pick.precedes g1 c1 x1 g2 c2 x2 then -1
+        else if x1 = x2 then 0
+        else 1)
   in
   let base_value = eval [] in
   for x = 0 to n - 1 do
