@@ -233,8 +233,8 @@ let test_plan_digest_pinned () =
       check_int (name "marginal evals") evals evals';
       Alcotest.(check string) (name "plan digest") hex hex')
     [ (1, false, 63, 41, 37_360, "e8e9ca1a588cc659123388010201be37");
-      (4, true, 63, 67, 21_114, "e67a34855be4a2d3da87950feb08b52f");
-      (5, true, 63, 50, 42_185, "1d68feabfff7390220276905c24d193f") ]
+      (4, true, 63, 67, 21_109, "e67a34855be4a2d3da87950feb08b52f");
+      (5, true, 63, 50, 42_168, "91981dec3298c1aaa9f1396e950056bd") ]
 
 (* ---------- chain + compacted store: crash anywhere ---------- *)
 
