@@ -132,7 +132,8 @@ let test_spent_free_stream_ranks_last () =
   check_float "utility" 6. (utility t r.G.assignment)
 
 (* Reference implementation: the same algorithm with residual utilities
-   recomputed from scratch every iteration (no incremental updates).
+   recomputed from scratch every iteration (no incremental updates),
+   ranking by the tests' own exact oracle ([Helpers.exact_better]).
    The optimized greedy must make identical decisions. *)
 let naive_greedy inst =
   let ns = I.num_streams inst and nu = I.num_users inst in
@@ -154,19 +155,13 @@ let naive_greedy inst =
         else acc +. Float.min (I.utility inst u s) (resid u))
       0. (I.interested_users inst s)
   in
-  let better w c w' c' =
-    if c = 0. && c' = 0. then w > w'
-    else if c = 0. then w > 0.
-    else if c' = 0. then w' <= 0. && w > 0.
-    else w *. c' > w' *. c
-  in
   let picks = ref [] in
   let rec loop () =
     let best = ref (-1) and bw = ref 0. and bc = ref 0. in
     for s = 0 to ns - 1 do
       if candidate.(s) then begin
         let w = stream_resid s and c = I.server_cost inst s 0 in
-        if !best < 0 || better w c !bw !bc then begin
+        if !best < 0 || exact_better w c !bw !bc then begin
           best := s;
           bw := w;
           bc := c

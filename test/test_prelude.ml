@@ -245,6 +245,126 @@ let heap_qcheck =
       List.iter (Heap.push h) xs;
       Heap.to_sorted_list h = List.sort compare xs)
 
+(* ---------- Pick ---------- *)
+
+module Pick = Prelude.Pick
+
+(* Entries (marginal, cost) drawn the way a float-approximation
+   quickcheck draws them: magnitudes across the whole range, small
+   integers, ulp neighbours, signed zeros, subnormals and values next
+   to overflow. A triple is an entry and two relatives of it, each
+   scaled by one power of two and nudged by an ulp, so exact and
+   rounded ties are common. *)
+let gen_magnitude =
+  QCheck2.Gen.(
+    frequency
+      [ (4, map2 Float.ldexp (float_range 0.5 1.) (int_range (-1074) 1023));
+        (3, map float_of_int (int_range 1 12));
+        ( 2,
+          oneofl
+            [ 0x1p-1074; 0x3p-1074; Float.pred 0x1p-1022; 0x1p-1022;
+              0x1p-958; 1e-300; 1e300; Float.pred max_float; max_float ] ) ])
+
+let gen_nudged x =
+  QCheck2.Gen.oneofl [ x; Float.succ x; Float.pred x ]
+
+let finite x = if Float.is_finite x then x else Float.copy_sign max_float x
+
+let gen_entry =
+  QCheck2.Gen.(
+    pair
+      (frequency
+         [ (6, gen_magnitude); (1, pure 0.); (1, pure (-0.));
+           (1, map Float.neg gen_magnitude) ])
+      (frequency [ (6, gen_magnitude); (1, pure 0.); (1, pure (-0.)) ]))
+
+let gen_relative (w, c) =
+  QCheck2.Gen.(
+    let* k = int_range (-3) 3 in
+    let* w = gen_nudged (Float.ldexp w k) in
+    let+ c = gen_nudged (Float.ldexp c k) in
+    (finite w, Float.abs (finite c)))
+
+let gen_triple =
+  QCheck2.Gen.(
+    let* a = gen_entry in
+    let related = frequency [ (3, gen_relative a); (1, gen_entry) ] in
+    let+ b = related and+ c = related in
+    (a, b, c))
+
+let better (w, c) (w', c') = Pick.better w c w' c'
+let incomparable x y = (not (better x y)) && not (better y x)
+
+let print_triple ((w, c), (w', c'), (w'', c'')) =
+  Printf.sprintf "(%h, %h) (%h, %h) (%h, %h)" w c w' c' w'' c''
+
+let pick_test name prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name ~print:print_triple gen_triple prop)
+
+let pick_qcheck =
+  [ pick_test "pick order agrees with an exact oracle"
+      (fun (a, b, c) ->
+        List.for_all
+          (fun ((w, c), (w', c')) ->
+            Pick.better w c w' c' = exact_better w c w' c')
+          [ (a, b); (b, a); (a, c); (c, a); (b, c); (c, b); (a, a) ]);
+    pick_test "pick order is a strict weak order"
+      (fun (a, b, c) ->
+        let perms =
+          [ (a, b, c); (a, c, b); (b, a, c); (b, c, a); (c, a, b); (c, b, a) ]
+        in
+        List.for_all (fun x -> not (better x x)) [ a; b; c ]
+        && List.for_all
+             (fun (x, y, z) ->
+               ((not (better x y && better y z)) || better x z)
+               && ((not (incomparable x y && incomparable y z))
+                  || incomparable x z))
+             perms);
+    pick_test "precedes is total on distinct ids"
+      (fun ((w, c), (w', c'), _) ->
+        let ws = [| w; w' |] and cs = [| c; c' |] in
+        Pick.precedes w c 0 w' c' 1 <> Pick.precedes w' c' 1 w c 0
+        && Pick.precedes_in ws cs 0 1 = Pick.precedes w c 0 w' c' 1
+        && Pick.precedes_in ws cs 1 0 = Pick.precedes w' c' 1 w c 0
+        && not (Pick.precedes_in ws cs 0 0)) ]
+
+(* A triple on which the rounded cross-multiplication is not
+   transitive: a beats b and b beats c, but a and c tie once rounded,
+   so with c at the lower id the rounded pick order cycles. *)
+let test_pick_rounding_cycle () =
+  let a = (3., 5.) in
+  let b = (Float.succ 3., Float.succ 5.) in
+  let c = (Float.pred (Float.pred 3.), Float.pred 5.) in
+  let rounded (w, c) (w', c') = w *. c' > w' *. c in
+  check_bool "rounded: a beats b" true (rounded a b);
+  check_bool "rounded: b beats c" true (rounded b c);
+  check_bool "rounded: a does not beat c" false (rounded a c);
+  check_bool "rounded: c does not beat a" false (rounded c a);
+  check_bool "exact: a beats b" true (better a b);
+  check_bool "exact: b beats c" true (better b c);
+  check_bool "exact: a beats c" true (better a c)
+
+let test_pick_edges () =
+  let beats x y = check_bool "beats" true (better x y && not (better y x)) in
+  let ties x y = check_bool "ties" true (incomparable x y) in
+  (* A free stream with a marginal outranks any priced one. *)
+  beats (1e-300, 0.) (1e300, 1e-300);
+  beats (2., 0.) (1., 0.);
+  (* Without one it counts as 0. *)
+  ties (0., 0.) (0., 5.);
+  ties (0., 0.) (-0., 0.);
+  beats (0., 5.) (-1., 5.);
+  beats (1., 5.) (0., 0.);
+  (* Products that overflow or underflow to a rounded tie. *)
+  beats (max_float, 1.5) (Float.pred max_float, 1.5);
+  beats (0x1p-1074, 0.25) (0x1p-1074, 0.3);
+  beats (infinity, 1.) (max_float, 1e-300);
+  ties (infinity, 1.) (infinity, 2.);
+  (* Equal ratios at any scale. *)
+  ties (3., 5.) (0x3p-1000, 0x5p-1000);
+  ties (1e300, 3.) (0x1p-50 *. 1e300, 0x3p-50)
+
 (* ---------- Bitset ---------- *)
 
 module B = Prelude.Bitset
@@ -501,6 +621,8 @@ let suite =
     ("heap order", `Quick, test_heap_order);
     ("heap empty", `Quick, test_heap_empty);
     heap_qcheck;
+    ("pick: rounding cycle", `Quick, test_pick_rounding_cycle);
+    ("pick: zero costs, overflow, underflow", `Quick, test_pick_edges);
     ("bitset basics", `Quick, test_bitset_basics);
     ("bitset bounds", `Quick, test_bitset_bounds);
     bitset_qcheck;
@@ -513,3 +635,4 @@ let suite =
     ("pool nested calls", `Quick, test_pool_nested);
     ("pool domain count", `Quick, test_pool_domain_count);
     ("table render", `Quick, test_table_render) ]
+  @ pick_qcheck
