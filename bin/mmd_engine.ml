@@ -778,8 +778,10 @@ let connect_mode o ~policy ~addrs ~wal_writer inst =
   let summary () =
     let a = P.finish p in
     Format.printf
-      "PROC-PRIMARY applied=%d last_seq=%d followers=%d divergent=%d%s@."
+      "PROC-PRIMARY applied=%d last_seq=%d followers=%d divergent=%d \
+       heartbeat_timeouts=%d%s@."
       a.P.applied a.P.last_seq a.P.followers a.P.divergent
+      a.P.heartbeat_timeouts
       (if a.P.converged then "" else " [NOT converged]");
     if a.P.divergent > 0 || not a.P.converged then begin
       Format.print_flush ();

@@ -84,36 +84,45 @@ type peer = {
   pdec : Frame_codec.Decoder.t;
   pbuf : Bytes.t;  (** read scratch for [pfd] *)
   mutable packed : int;
+  mutable hb_timeouts : int;  (** heartbeats that got no ack in time *)
 }
 
 (* Write errors are swallowed: a dead peer is the chaos being tested. *)
 let send_quiet p payload =
   try TS.send_frame p.pfd payload with Unix.Unix_error _ -> ()
 
-(* Read replies until the link stays quiet for [deadline_s]: acks
-   raise [packed], and with [digest] the first "X <digest>" ends the
-   read. *)
-let rec read_replies ?(digest = false) ~deadline_s p =
+(* Read replies until [stop] takes one, every "A <acked>" raising
+   [packed]; [Error] once the link has been quiet for [deadline_s] or
+   is gone. *)
+let rec read_replies ~stop ~deadline_s p =
   match TS.recv_frame ~deadline_s ~buf:p.pbuf p.pfd p.pdec with
   | TS.Frame payload -> (
-      match String.split_on_char ' ' payload with
-      | [ "X"; d ] when digest -> Some d
+      let words = String.split_on_char ' ' payload in
+      (match words with
       | [ "A"; n ] ->
           Option.iter
             (fun n -> p.packed <- max p.packed n)
-            (int_of_string_opt n);
-          read_replies ~digest ~deadline_s p
-      | _ -> read_replies ~digest ~deadline_s p)
-  | TS.Timeout | TS.Closed -> None
+            (int_of_string_opt n)
+      | _ -> ());
+      match stop words with
+      | Some r -> Ok r
+      | None -> read_replies ~stop ~deadline_s p)
+  | TS.Timeout -> Error `Timeout
+  | TS.Closed -> Error `Closed
 
+(* A live follower answers each heartbeat with exactly one ack, so the
+   read stops there; the deadline only detects a dead or fenced one. *)
 let heartbeat peers ~term ~last_seq ~tick =
   let hb =
     Group.Frame.to_string (Group.Frame.Heartbeat { term; last_seq; tick })
   in
+  let ack = function "A" :: _ -> Some () | _ -> None in
   List.iter
     (fun p ->
       send_quiet p hb;
-      ignore (read_replies ~deadline_s:0.25 p))
+      match read_replies ~stop:ack ~deadline_s:0.25 p with
+      | Error `Timeout -> p.hb_timeouts <- p.hb_timeouts + 1
+      | Ok () | Error `Closed -> ())
     peers
 
 (* Heartbeat/retransmit rounds until every peer acks the log's last
@@ -156,7 +165,8 @@ let primary ?(policy = C.Every 64)
           { pfd = TS.connect ep;
             pdec = Frame_codec.Decoder.create ();
             pbuf = Bytes.create 65536;
-            packed = 0 })
+            packed = 0;
+            hb_timeouts = 0 })
         endpoints;
     heartbeat_every }
 
@@ -206,6 +216,7 @@ type audit = {
   converged : bool;
   last_seq : int;
   digest : string;
+  heartbeat_timeouts : int;
 }
 
 let finish ?(term = 0) p =
@@ -215,8 +226,9 @@ let finish ?(term = 0) p =
     List.fold_left
       (fun n peer ->
         send_quiet peer "G";
-        match read_replies ~digest:true ~deadline_s:5.0 peer with
-        | Some d when d = reference -> n
+        let digest = function [ "X"; d ] -> Some d | _ -> None in
+        match read_replies ~stop:digest ~deadline_s:5.0 peer with
+        | Ok d when d = reference -> n
         | _ -> n + 1)
       0 p.peers
   in
@@ -230,7 +242,9 @@ let finish ?(term = 0) p =
     divergent;
     converged;
     last_seq = Group.Log.last_seq p.log;
-    digest = reference }
+    digest = reference;
+    heartbeat_timeouts =
+      List.fold_left (fun n peer -> n + peer.hb_timeouts) 0 p.peers }
 
 (* ---------- Recovery coordinator ---------- *)
 

@@ -82,6 +82,9 @@ type audit = {
   converged : bool;  (** every follower acked [last_seq] *)
   last_seq : int;  (** the last record logged *)
   digest : string;  (** the primary's *)
+  heartbeat_timeouts : int;
+      (** heartbeats, summed over followers, that no ack answered
+          within the 0.25 s failure-detection deadline *)
 }
 
 val finish : ?term:int -> primary -> audit

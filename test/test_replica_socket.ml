@@ -311,6 +311,10 @@ let test_proc_clean_convergence () =
       check_bool "clean exit" true (status = Unix.WEXITED 0);
       check_bool "primary reports zero divergence" true
         (contains out "divergent=0");
+      (* Every follower is alive, so every heartbeat ends on its ack,
+         never on the failure-detection deadline. *)
+      check_bool "no heartbeat waited out its deadline" true
+        (contains out "heartbeat_timeouts=0");
       check_bool "supervisor saw no failures" true
         (contains out "0 failure(s)"))
 
