@@ -112,6 +112,7 @@ let run () =
   Printf.fprintf oc
     "{\n\
     \  \"experiment\": \"e14_engine_churn\",\n\
+    \  \"host\": %s,\n\
     \  \"deltas\": %d,\n\
     \  \"ops_per_sec\": %.1f,\n\
     \  \"replans\": %d,\n\
@@ -128,7 +129,7 @@ let run () =
     \  \"replan_latency_p50_s\": %.6f,\n\
     \  \"replan_latency_p99_s\": %.6f\n\
      }\n"
-    num_deltas ops_per_sec report.Engine.Counters.replans
+    (host_json ()) num_deltas ops_per_sec report.Engine.Counters.replans
     report.Engine.Counters.evictions engine_evals evals_per_scratch full_total
     savings final_utility scratch_util final_gap live_gap.Prelude.Stats.p50
     live_gap.Prelude.Stats.p90

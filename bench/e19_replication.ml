@@ -207,6 +207,7 @@ let run () =
     "{\n\
     \  \"experiment\": \"e19_replication\",\n\
     \  \"smoke\": %b,\n\
+    \  \"host\": %s,\n\
     \  \"instance\": { \"num_streams\": %d, \"num_users\": %d, \"m\": 2, \
      \"mc\": 1 },\n\
     \  \"failover\": [\n%s\n  ],\n\
@@ -216,7 +217,7 @@ let run () =
     \  \"divergence\": %d,\n\
     \  \"recovery_chooser\": [\n%s\n  ]\n\
      }\n"
-    smoke num_streams num_users
+    smoke (host_json ()) num_streams num_users
     (String.concat ",\n"
        (List.map
           (fun (len, cold, ttr, lag) ->

@@ -224,6 +224,7 @@ let run () =
     "{\n\
     \  \"experiment\": \"e22_certificates\",\n\
     \  \"smoke\": %b,\n\
+    \  \"host\": %s,\n\
     \  \"small\": [\n%s\n  ],\n\
     \  \"small_violations\": %d,\n\
     \  \"sparse\": {\n\
@@ -234,7 +235,7 @@ let run () =
     \    \"shards_1_bit_identical\": %b\n\
     \  }\n\
      }\n"
-    smoke
+    smoke (host_json ())
     (String.concat ",\n"
        (List.map
           (fun r ->
