@@ -10,11 +10,11 @@
     re-evaluates only entries that surface at the top
     (Minoux/CELF lazy evaluation, exact because the capped objective's
     marginals never increase as the plan grows); [`Eager] mode
-    re-evaluates every candidate every round. Both modes pick by the
-    identical comparison (cross-multiplied effectiveness, ties to the
-    lower stream id), so they produce the {e same} plan — [`Eager]
-    exists as the reference for counting how many evaluations laziness
-    saves.
+    re-evaluates every candidate every round. Both modes pick by
+    {!Prelude.Pick}'s order (exact effectiveness, ties to the lower
+    stream id), a strict total order, so they produce the {e same}
+    plan by construction — [`Eager] exists as the reference for
+    counting how many evaluations laziness saves.
 
     The heap bounds are scratch state of one {!extend}: {!reset}
     seeds them, and nothing between replans reads or keeps them. So
