@@ -445,51 +445,19 @@ let best_single t =
     Some (!best, !best_v)
   end
 
-(* The lazy greedy's max-heap of candidates, held in [t.cand] as stream
-   ids keyed by [t.bound] and [t.cost_norm] and ordered by
-   [Prelude.Pick]. A key changes only for the top entry, just before
-   [sift_down t 0]. The order is strict and total, so the top is the
-   same whatever path the sifts take. *)
-let[@inline] heap_lt t a b =
-  Prelude.Pick.precedes_in t.bound t.cost_norm t.cand.(a) t.cand.(b)
-
-let heap_swap t i j =
-  let tmp = t.cand.(i) in
-  t.cand.(i) <- t.cand.(j);
-  t.cand.(j) <- tmp
-
-let sift_up t i =
-  let i = ref i in
-  while !i > 0 && heap_lt t !i ((!i - 1) / 2) do
-    let parent = (!i - 1) / 2 in
-    heap_swap t !i parent;
-    i := parent
-  done
-
-let sift_down t i =
-  let i = ref i and continue_ = ref true in
-  while !continue_ do
-    let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if left < t.cand_len && heap_lt t left !smallest then smallest := left;
-    if right < t.cand_len && heap_lt t right !smallest then smallest := right;
-    if !smallest <> !i then begin
-      heap_swap t !i !smallest;
-      i := !smallest
-    end
-    else continue_ := false
-  done
-
+(* The lazy greedy's heap of candidates: stream ids in [t.cand], keyed
+   by [t.bound] and [t.cost_norm], the next pick at the root. A key
+   changes only for the root, just before it is sifted down. *)
 let heap_push t s =
   t.cand.(t.cand_len) <- s;
   t.cand_len <- t.cand_len + 1;
-  sift_up t (t.cand_len - 1)
+  Prelude.Pick.sift_up t.bound t.cost_norm t.cand (t.cand_len - 1)
 
 let heap_pop t =
   t.cand_len <- t.cand_len - 1;
   if t.cand_len > 0 then begin
     t.cand.(0) <- t.cand.(t.cand_len);
-    sift_down t 0
+    Prelude.Pick.sift_down t.bound t.cost_norm t.cand t.cand_len 0
   end
 
 (* Exported planner metrics. Heap pops and marginal evaluations are
@@ -549,7 +517,7 @@ let extend_lazy t =
     end
     else begin
       t.bound.(s) <- eval_marginal t s;
-      sift_down t 0;
+      Prelude.Pick.sift_down t.bound t.cost_norm t.cand t.cand_len 0;
       fresh := s
     end
   done;

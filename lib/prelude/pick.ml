@@ -55,9 +55,43 @@ let[@inline] better w c w' c' =
   else if c' = 0. then w' <= 0. && w > 0.
   else cross_gt w c w' c'
 
-(* For [s < s'] "better, or as good" is "not worse". *)
+(* The id is read only on a tie. Testing it first puts a branch that
+   goes either way at random in front of every comparison: on the
+   benchmark's [steady] workload that cost about 10% of ingest
+   (2-core x86-64 host). *)
 let[@inline] precedes w c s w' c' s' =
-  if s < s' then not (better w' c' w c) else better w c w' c'
+  better w c w' c' || ((not (better w' c' w c)) && s < s')
 
 let[@inline] precedes_in (w : float array) (c : float array) a b =
   precedes w.(a) c.(a) a w.(b) c.(b) b
+
+(* Binary-heap sifts over [ids], the first id in pick order at the
+   root. The order is total, so any sift path gives the same root. *)
+let[@inline] swap (ids : int array) i j =
+  let tmp = ids.(i) in
+  ids.(i) <- ids.(j);
+  ids.(j) <- tmp
+
+let sift_up w c ids i =
+  let i = ref i in
+  while !i > 0 && precedes_in w c ids.(!i) ids.((!i - 1) / 2) do
+    let parent = (!i - 1) / 2 in
+    swap ids !i parent;
+    i := parent
+  done
+
+let sift_down w c ids len i =
+  let i = ref i and continue_ = ref true in
+  while !continue_ do
+    let left = (2 * !i) + 1 and right = (2 * !i) + 2 in
+    let first = ref !i in
+    if left < len && precedes_in w c ids.(left) ids.(!first) then
+      first := left;
+    if right < len && precedes_in w c ids.(right) ids.(!first) then
+      first := right;
+    if !first <> !i then begin
+      swap ids !i !first;
+      i := !first
+    end
+    else continue_ := false
+  done

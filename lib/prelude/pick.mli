@@ -29,3 +29,19 @@ val precedes_in : float array -> float array -> int -> int -> bool
     [precedes w.(a) c.(a) a w.(b) c.(b) b]. A caller in another module
     passes arrays and ids, so the floats are read and compared here,
     unboxed, even where calls across modules are not inlined. *)
+
+(** {1 A heap of ids in pick order}
+
+    [ids.(0 .. len - 1)] is a binary heap of ids keyed by [w.(id)] and
+    [c.(id)], whose root {!precedes} every other entry. The sifts live
+    here so that their comparisons are inlined next to the float
+    reads. *)
+
+val sift_up : float array -> float array -> int array -> int -> unit
+(** [sift_up w c ids i] moves [ids.(i)] toward the root until its
+    parent precedes it: after [ids.(i)] was appended or its key rose. *)
+
+val sift_down : float array -> float array -> int array -> int -> int -> unit
+(** [sift_down w c ids len i] moves [ids.(i)] toward the leaves of the
+    heap [ids.(0 .. len - 1)] until it precedes both children: after
+    its key fell or it replaced the root. *)
