@@ -13,7 +13,9 @@ type t = {
   admitted : bool array;  (* stream *)
   pinned : bool array;  (* stream *)
   used : float array;  (* m *)
-  bound : float array;  (* stream -> marginal bound (lazy) or marginal (eager); scratch of one extend *)
+  bound : float array;
+      (* stream -> bound on the marginal (lazy) or the marginal (eager);
+         scratch of one extend *)
   static : float array;  (* stream -> static bound, as [reset] seeds it *)
   mutable static_version : int;
       (* the [View.version] [static] was computed at; -1 for never *)

@@ -226,8 +226,8 @@ let finish ?(term = 0) p =
     List.fold_left
       (fun n peer ->
         send_quiet peer "G";
-        let digest = function [ "X"; d ] -> Some d | _ -> None in
-        match read_replies ~stop:digest ~deadline_s:5.0 peer with
+        let digest_reply = function [ "X"; d ] -> Some d | _ -> None in
+        match read_replies ~stop:digest_reply ~deadline_s:5.0 peer with
         | Ok d when d = reference -> n
         | _ -> n + 1)
       0 p.peers
