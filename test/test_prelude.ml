@@ -327,7 +327,28 @@ let pick_qcheck =
         Pick.precedes w c 0 w' c' 1 <> Pick.precedes w' c' 1 w c 0
         && Pick.precedes_in ws cs 0 1 = Pick.precedes w c 0 w' c' 1
         && Pick.precedes_in ws cs 1 0 = Pick.precedes w' c' 1 w c 0
-        && not (Pick.precedes_in ws cs 0 0)) ]
+        && not (Pick.precedes_in ws cs 0 0));
+    qtest ~count:500 "pick heap drains in pick order"
+      QCheck2.Gen.(list_size (int_range 0 40) gen_entry)
+      (fun entries ->
+        let w = Array.of_list (List.map fst entries) in
+        let c = Array.of_list (List.map snd entries) in
+        let n = Array.length w in
+        let ids = Array.make n 0 in
+        for k = 0 to n - 1 do
+          ids.(k) <- k;
+          Pick.sift_up w c ids k
+        done;
+        let drained =
+          List.init n (fun k ->
+              let len = n - k in
+              let top = ids.(0) in
+              ids.(0) <- ids.(len - 1);
+              Pick.sift_down w c ids (len - 1) 0;
+              top)
+        in
+        let order a b = if Pick.precedes_in w c a b then -1 else 1 in
+        drained = List.sort order (List.init n Fun.id)) ]
 
 (* A triple on which the rounded cross-multiplication is not
    transitive: a beats b and b beats c, but a and c tie once rounded,
